@@ -1,18 +1,21 @@
 """Clifford algebra over an arbitrary symmetric nondegenerate Gram matrix.
 
 Multivectors are sparse maps from basis blades (bitmasks, ascending index
-convention) to float coefficients.  The geometric product factors the Gram
-matrix as g = Q diag(lam) Q^T by a symmetric eigendecomposition, pushes both
-operands through the outermorphism of the basis change into the eigenframe,
-multiplies there with the canonical bitmask algorithm (XOR of masks,
-transposition-count sign, metric scale for repeated vectors), and pulls the
-result back.  One diagonal-metric kernel therefore serves every signature,
-including indefinite ones.
+convention) to float coefficients.  The geometric product has one
+definition, the grade recursion of :mod:`gcalc.blades`.  A :class:`Gram`
+runs it once, on one-hot coefficient columns, to fill its structure-constant
+table
+
+    E_a E_b = sum_c T[a, b, c] E_c,
+
+and every float product here is a contraction with that table, as in the
+bitmask algebras of Dorst, Fontijne and Mann (2007, ch. 19).  The same table
+serves every signature, including indefinite ones.
 
 Derived products follow the usual grade-projection definitions:
 
     wedge   <A_j B_k>_{j+k}     (metric free, computed directly on masks)
-    dot     <A_j B_k>_{k-j}     (zero when j > k, contraction-like)
+    dot     <A_j B_k>_{k-j}     (zero when j > k; the table masked to those grades)
 
 and the dual is A I^{-1} with I the orientation-bearing unit pseudoscalar.
 """
@@ -20,6 +23,7 @@ and the dual is A I^{-1} with I the orientation-bearing unit pseudoscalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +34,11 @@ _EIG_RTOL = 1e-12
 
 
 class Gram:
-    """Symmetric invertible Gram matrix with cached spectral data."""
+    """Symmetric invertible Gram matrix with its inverse and product table.
+
+    ``matrix`` and ``inverse`` are read-only, so the table built from them
+    cannot go stale.
+    """
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -46,9 +54,26 @@ class Gram:
         lam_max = float(np.max(np.abs(lam)))
         if lam_max == 0.0 or float(np.min(np.abs(lam))) < _EIG_RTOL * lam_max:
             raise SingularGram("Gram matrix is numerically singular")
-        self.eigvals = lam
-        self.eigvecs = q
         self.inverse = (q * (1.0 / lam)) @ q.T
+        self.matrix.setflags(write=False)
+        self.inverse.setflags(write=False)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Structure constants T[a, b, c] of the geometric product, read-only.
+
+        Built on first use: 8^n floats, 32 KB at n = 4.
+        """
+        size = 1 << self.n
+        one_hot = np.eye(size)
+        cols = {b: one_hot[b] for b in range(size)}
+        table = np.zeros((size, size, size))
+        rows = blades.blade_products(range(size), cols, self.matrix.tolist())
+        for a, row in rows.items():
+            for c, coeffs in row.items():
+                table[a, :, c] = coeffs
+        table.setflags(write=False)
+        return table
 
     def __repr__(self):
         return f"Gram({self.matrix.tolist()!r})"
@@ -98,10 +123,6 @@ class Multivector:
             s, acc = w
             sign *= s
         return cls(dim, {acc: sign * coeff})
-
-    @classmethod
-    def from_blade_map(cls, dim: int, mapping) -> "Multivector":
-        return cls(dim, {blades.mask_from_key(k): float(v) for k, v in mapping.items()})
 
     # views ----------------------------------------------------------------
 
@@ -177,37 +198,22 @@ def _check_pair(A: Multivector, B: Multivector, g: Gram):
         raise DimMismatch("Gram dimension differs from multivector dimension")
 
 
-def _transform(M: np.ndarray, coeffs: dict, n: int) -> dict:
-    def det(sub):
-        k = len(sub)
-        if k == 1:
-            return sub[0][0]
-        return float(np.linalg.det(np.asarray(sub)))
-    return blades.transform_components(M, coeffs, n, det)
+def _contract(A: Multivector, B: Multivector, table: np.ndarray) -> Multivector:
+    """sum_{a,b} A^a B^b table[a, b, :] as a multivector."""
+    size = table.shape[0]
+    a = np.zeros(size)
+    b = np.zeros(size)
+    a[list(A.coeffs)] = list(A.coeffs.values())
+    b[list(B.coeffs)] = list(B.coeffs.values())
+    out = b @ (a @ table.reshape(size, size * size)).reshape(size, size)
+    return Multivector(A.dim, dict(enumerate(out.tolist())))
 
 
 def gp(A: Multivector, B: Multivector, g) -> Multivector:
     """Geometric product of A and B under the Gram matrix g."""
     g = as_gram(g)
     _check_pair(A, B, g)
-    n = A.dim
-    q = g.eigvecs
-    lam = g.eigvals
-    a_f = _transform(q, A.coeffs, n)
-    b_f = _transform(q, B.coeffs, n)
-    prod: dict = {}
-    for ma, ca in a_f.items():
-        if ca == 0.0:
-            continue
-        for mb, cb in b_f.items():
-            if cb == 0.0:
-                continue
-            coeff, mask = blades.diag_gp_blades(ma, mb, lam)
-            if coeff == 0.0:
-                continue
-            prod[mask] = prod.get(mask, 0.0) + coeff * ca * cb
-    out = _transform(q.T, prod, n)
-    return Multivector(n, out)
+    return _contract(A, B, g.table)
 
 
 def wedge(A: Multivector, B: Multivector) -> Multivector:
@@ -223,6 +229,15 @@ def grade(A: Multivector, k: int) -> Multivector:
     return Multivector(A.dim, blades.grade_select(A.coeffs, k))
 
 
+@lru_cache(maxsize=8)
+def _contraction_mask(n: int) -> np.ndarray:
+    """mask[a, b, c]: grade(c) = grade(b) - grade(a), so grade(a) <= grade(b)."""
+    k = np.array([m.bit_count() for m in range(1 << n)])
+    mask = k[None, None, :] == k[None, :, None] - k[:, None, None]
+    mask.setflags(write=False)
+    return mask
+
+
 def dot(A: Multivector, B: Multivector, g) -> Multivector:
     """Interior product <A_j B_k>_{k-j} summed over pure-grade parts.
 
@@ -230,14 +245,7 @@ def dot(A: Multivector, B: Multivector, g) -> Multivector:
     """
     g = as_gram(g)
     _check_pair(A, B, g)
-    out = Multivector(A.dim, {})
-    for j in A.grades():
-        Aj = grade(A, j)
-        for k in B.grades():
-            if j > k:
-                continue
-            out = out + grade(gp(Aj, grade(B, k), g), k - j)
-    return out
+    return _contract(A, B, np.where(_contraction_mask(A.dim), g.table, 0.0))
 
 
 def reverse(A: Multivector) -> Multivector:

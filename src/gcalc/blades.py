@@ -1,18 +1,21 @@
-"""Bitmask blade arithmetic.
+"""Bitmask blade arithmetic and the definition of the geometric product.
 
 A basis blade over n frame vectors is a bitmask: bit i set means frame vector
 i+1 participates, indices ascending.  A multivector is a dict mapping masks to
-coefficients.  Coefficients may be floats or :class:`gcalc.jets.Jet` objects;
-every routine here is written against plain ring arithmetic so the same code
-paths serve numeric evaluation and jet-valued evaluation.
+coefficients.  Coefficients may be floats, :class:`gcalc.jets.Jet` objects,
+expression trees or numpy arrays; every routine here is written against plain
+ring arithmetic so the same code serves numeric, jet-valued and symbolic
+evaluation.
 
 The geometric product for an arbitrary (symmetric, possibly indefinite) Gram
-matrix is computed by grade recursion on the left factor,
+matrix is defined here, once, by grade recursion on the left factor,
 
     E_J B = e_j (E_J' B) - (e_j . E_J') B        with E_J = e_j ^ E_J',
 
 which bottoms out in the two vector-level primitives: the contraction of a
-vector into a blade and the metric-free wedge.  Serialization uses 1-based
+vector into a blade and the metric-free wedge.  :func:`blade_products` is
+that recursion and :func:`gp_generic` sums its output; the float products in
+:mod:`gcalc.algebra` contract with a structure-constant table filled by it.  Serialization uses 1-based
 comma-joined index keys: "" for the scalar slot, "1", "1,3", ...
 """
 
@@ -99,10 +102,6 @@ def add_into(dst: dict, src: dict, scale=1.0) -> dict:
     return dst
 
 
-def scale_mv(mv: dict, s) -> dict:
-    return {m: c * s for m, c in mv.items()}
-
-
 def prune(mv: dict, tol: float = 0.0) -> dict:
     """Drop exact (or below-tol) zero float coefficients; jets are kept."""
     return {m: c for m, c in mv.items()
@@ -113,17 +112,13 @@ def grade_select(mv: dict, k: int) -> dict:
     return {m: c for m, c in mv.items() if m.bit_count() == k}
 
 
-def vector_dot_blade(comps, mask: int, gram) -> dict:
-    """a . E_J for a vector a with components ``comps`` (grade lowers by 1)."""
+def vector_dot_blade(vec, mask: int, gram) -> dict:
+    """a . E_J for a vector a given as (index, coefficient) pairs of its
+    nonzero components; the grade drops by one."""
     out: dict = {}
-    idx = indices_of(mask)
-    n = len(comps)
-    for pos, j in enumerate(idx):
+    for pos, j in enumerate(indices_of(mask)):
         s = 0.0
-        for l in range(n):
-            c = comps[l]
-            if isinstance(c, (int, float)) and c == 0.0:
-                continue
+        for l, c in vec:
             s = s + c * gram[l][j]
         if isinstance(s, (int, float)) and s == 0.0:
             continue
@@ -135,12 +130,11 @@ def vector_dot_blade(comps, mask: int, gram) -> dict:
     return out
 
 
-def vector_wedge_mv(comps, mv: dict) -> dict:
+def vector_wedge_mv(vec, mv: dict) -> dict:
+    """a ^ mv for a vector a given as (index, coefficient) pairs."""
     out: dict = {}
     for m, c in mv.items():
-        for l, a in enumerate(comps):
-            if isinstance(a, (int, float)) and a == 0.0:
-                continue
+        for l, a in vec:
             w = wedge_blades(1 << l, m)
             if w is None:
                 continue
@@ -151,47 +145,52 @@ def vector_wedge_mv(comps, mv: dict) -> dict:
     return out
 
 
-def vector_gp_mv(comps, mv: dict, gram) -> dict:
+def vector_gp_mv(vec, mv: dict, gram) -> dict:
     """Geometric product (vector) * (multivector) over an arbitrary Gram."""
     out: dict = {}
     for m, c in mv.items():
         if m:
-            for rem, s in vector_dot_blade(comps, m, gram).items():
+            for rem, s in vector_dot_blade(vec, m, gram).items():
                 term = s * c
                 cur = out.get(rem)
                 out[rem] = term if cur is None else cur + term
-    add_into(out, vector_wedge_mv(comps, mv))
+    add_into(out, vector_wedge_mv(vec, mv))
     return out
 
 
-def _basis_vector_comps(l: int, n: int):
-    return [1.0 if i == l else 0.0 for i in range(n)]
+def blade_products(masks, B: dict, gram) -> dict:
+    """E_J B for every blade J in ``masks``, by grade recursion on E_J.
 
+    Each E_J B is computed once: the recursion for a blade and the correction
+    terms of every longer blade share it.
+    """
+    products = {0: B}
 
-def gp_blade_mv(mask: int, mv: dict, gram, n: int) -> dict:
-    """E_mask * mv by grade recursion on the left blade."""
-    if mask == 0:
-        return dict(mv)
-    idx = indices_of(mask)
-    lead = idx[0]
-    comps = _basis_vector_comps(lead, n)
-    if len(idx) == 1:
-        return vector_gp_mv(comps, mv, gram)
-    rest = mask & ~(1 << lead)
-    out = vector_gp_mv(comps, gp_blade_mv(rest, mv, gram, n), gram)
-    correction = vector_dot_blade(comps, rest, gram)
-    for m2, c2 in correction.items():
-        sub = gp_blade_mv(m2, mv, gram, n) if m2 else dict(mv)
-        add_into(out, sub, -c2)
-    return out
+    def blade_times_b(mask: int) -> dict:
+        done = products.get(mask)
+        if done is not None:
+            return done
+        lead = (mask & -mask).bit_length() - 1
+        e_lead = [(lead, 1.0)]
+        rest = mask & ~(1 << lead)
+        out = vector_gp_mv(e_lead, blade_times_b(rest), gram)
+        for m2, c2 in vector_dot_blade(e_lead, rest, gram).items():
+            add_into(out, blade_times_b(m2), -c2)
+        products[mask] = out
+        return out
+
+    return {mask: blade_times_b(mask) for mask in masks}
 
 
 def gp_generic(A: dict, B: dict, gram, n: int) -> dict:
-    """Geometric product of two multivectors over an arbitrary Gram matrix."""
+    """Geometric product of two multivectors over an arbitrary Gram matrix.
+
+    The recursion does not need the dimension ``n``; callers pass it all the
+    same.
+    """
     out: dict = {}
-    for mask, coeff in A.items():
-        part = gp_blade_mv(mask, B, gram, n)
-        add_into(out, part, coeff)
+    for mask, part in blade_products(A, B, gram).items():
+        add_into(out, part, A[mask])
     return out
 
 
@@ -267,17 +266,3 @@ def _masks_of_grade(n: int, k: int):
 
 
 _GRADE_MASKS: dict = {}
-
-
-def diag_gp_blades(a: int, b: int, lam):
-    """Product of two blades under a diagonal metric with entries ``lam``."""
-    sign = merge_sign(a, b)
-    coeff = float(sign)
-    common = a & b
-    i = 0
-    while common:
-        if common & 1:
-            coeff *= lam[i]
-        common >>= 1
-        i += 1
-    return coeff, a ^ b

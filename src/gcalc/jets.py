@@ -13,9 +13,9 @@ The chain rule for a smooth f applied to a jet u is
     hess   f'(u) * u.hess + f''(u) * outer(u.grad, u.grad)
 
 which is what :func:`apply_function` implements for the supported function
-set.  Small dense linear-algebra helpers (matrix inverse and determinant via
-Gauss-Jordan elimination with value pivoting) are provided so that
-metric-derived quantities can be pushed through as jets.
+set.  A small dense linear-algebra helper (determinant and inverse together,
+by Gauss-Jordan elimination with value pivoting) lets metric-derived
+quantities be pushed through as jets.
 """
 
 from __future__ import annotations
@@ -303,11 +303,3 @@ def mat_det_inv(m):
                 a[r][j] = a[r][j] - f * a[col][j]
                 inv[r][j] = inv[r][j] - f * inv[col][j]
     return det, inv
-
-
-def mat_inv(m):
-    return mat_det_inv(m)[1]
-
-
-def mat_det(m):
-    return mat_det_inv(m)[0]

@@ -9,9 +9,15 @@ vector of each blade at a time with its derivative,
 which keeps grades intact blade by blade.  Derived operators contract the
 directional derivative with the reciprocal frame:
 
-    gradient   e^i D_{e_i} A        (geometric product)
+    gradient   e^i D_{e_i} A  = divergence + curl
     divergence e^i . D_{e_i} A
     curl       e^i ^ D_{e_i} A
+
+Since e^i . e_j = delta^i_j, the divergence needs no metric: e^i . e_J
+removes index i from the blade, with the sign of moving e_i to its front.
+The curl wedges the row g^{il} e_l of the inverse frame Gram into each
+blade.  Pointwise products of fields (the dual, ``product_field``) use the
+jet-valued grade recursion :func:`gcalc.blades.gp_generic`.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
@@ -50,10 +56,6 @@ class DerivedField:
     frame: str
     budget: int
     fn: object
-
-    @staticmethod
-    def wrap(frame, budget, fn) -> "DerivedField":
-        return DerivedField(frame, budget, fn)
 
 
 def field_jets(field, point, order: int) -> dict:
@@ -139,6 +141,15 @@ def mdd(spec, a, field, point) -> Multivector:
     return Multivector(n, {m: value_of(c) for m, c in out.items()})
 
 
+def _interior(i: int, mv: dict) -> dict:
+    """e^i . mv: drop index i from each blade holding it, signed by the
+    number of indices below it (e^i . e_j = delta^i_j)."""
+    bit = 1 << i
+    below = bit - 1
+    return {m ^ bit: -c if (m & below).bit_count() & 1 else c
+            for m, c in mv.items() if m & bit}
+
+
 def _contract_field(spec, field, combine: str) -> DerivedField:
     """Sum over i of e^i (op) D_{e_i} field, op in {gp, dot, wedge}."""
     spec = _as_spec(spec)
@@ -146,21 +157,17 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
     n = spec.n
 
     def fn(point, order):
-        gj = gamma_jets(spec, point, order)
-        fj = gj.frame
+        fj = gamma_jets(spec, point, order).frame
         out: dict = {}
         for i in range(n):
             di = _mdd_basis_jets(spec, i, field, point, order)
             if not di:
                 continue
-            recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
-            if combine == "gp":
-                part = bl.gp_generic(recip, di, fj.gram, n)
-            elif combine == "dot":
-                part = bl.dot_generic(recip, di, fj.gram, n)
-            else:
-                part = bl.wedge_generic(recip, di)
-            bl.add_into(out, part)
+            if combine != "wedge":
+                bl.add_into(out, _interior(i, di))
+            if combine != "dot":
+                recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
+                bl.add_into(out, bl.wedge_generic(recip, di))
         return bl.prune(out)
 
     return DerivedField(spec.frame, field.budget - 1, fn)
@@ -297,15 +304,6 @@ def second_ops(spec, field, point, a=None) -> dict:
     if a is not None:
         out["directional"] = mdd(spec, a, field, point)
     return out
-
-
-def scale_field(field, factor: float) -> DerivedField:
-    """Pointwise scalar multiple of a field (no budget cost)."""
-
-    def fn(point, order):
-        return {m: c * factor for m, c in field_jets(field, point, order).items()}
-
-    return DerivedField(field.frame, field.budget, fn)
 
 
 def add_fields(a, b) -> DerivedField:

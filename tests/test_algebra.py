@@ -152,7 +152,7 @@ class TestGeometricProduct:
         assert worst < 1e-10
 
     def test_matches_recursive_route(self):
-        # second in-package route used by the field engine
+        # the table route against the grade recursion it is built from
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
             for _ in range(20):
@@ -163,6 +163,17 @@ class TestGeometricProduct:
                 got = gp(A, B, g)
                 alt = Multivector(n, blades.gp_generic(A.coeffs, B.coeffs, g, n))
                 assert _dev(got, alt) < 1e-10
+                got = dot(A, B, g)
+                alt = Multivector(n, blades.dot_generic(A.coeffs, B.coeffs, g, n))
+                assert _dev(got, alt) < 1e-10
+                top = (1 << n) - 1
+                rev = -1.0 if (n * (n - 1) // 2) & 1 else 1.0
+                mag2 = blades.gp_generic({top: 1.0}, {top: rev}, g, n)[0]
+                unit = {top: 1.0 / abs(mag2) ** 0.5}
+                square = blades.gp_generic(unit, unit, g, n)[0]
+                alt = Multivector(n, blades.gp_generic(
+                    A.coeffs, {top: unit[top] / square}, g, n))
+                assert _dev(dual(A, g), alt) < 1e-10
 
     def test_associativity(self):
         rng = np.random.default_rng(11)
@@ -209,6 +220,13 @@ class TestGeometricProduct:
         with pytest.raises(DimMismatch):
             gp(Multivector.basis_vector(2, 1), Multivector.basis_vector(3, 1), np.eye(2))
 
+    def test_gram_is_read_only(self):
+        g = Gram([[1.0, 0.5], [0.5, -1.0]])
+        g.table
+        for arr in (g.matrix, g.inverse, g.table):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+
 
 class TestWedgeDotGrade:
     def test_wedge_basis(self):
@@ -251,13 +269,23 @@ class TestWedgeDotGrade:
 
     def test_dot_against_oracle(self):
         rng = np.random.default_rng(51)
-        g = np.eye(3)
-        e1 = Multivector.basis_vector(3, 1)
-        B = Multivector.blade(3, [1, 2]) * 2.0 + Multivector.blade(3, [2, 3]) * 0.5
-        out = dot(e1, B, g)
-        # a . (b ^ c) = (a.b) c - (a.c) b expanded by hand
-        assert _dev(out, Multivector.basis_vector(3, 2) * 2.0) < 1e-14
-        del rng
+        worst = 0.0
+        for n in (2, 3, 4):
+            for _ in range(15):
+                S, diag = _random_gram_factors(rng, n, indefinite=True)
+                g = S @ np.diag(diag) @ S.T
+                A = _random_mv(rng, n)
+                B = _random_mv(rng, n)
+                want = Multivector(n, {})
+                for j in A.grades():
+                    for k in B.grades():
+                        if j > k:
+                            continue
+                        prod = oracle_gp(_to_tuple_map(grade(A, j)),
+                                         _to_tuple_map(grade(B, k)), S, diag)
+                        want = want + grade(_from_tuple_map(n, prod), k - j)
+                worst = max(worst, _dev(dot(A, B, g), want))
+        assert worst < 1e-10
 
     def test_grade_selection(self):
         m = Multivector(3, {0: 1.0, 0b11: 2.0, 0b111: 3.0})

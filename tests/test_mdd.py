@@ -4,14 +4,17 @@ from them: gradient, divergence, curl, exterior derivative, codifferential."""
 import numpy as np
 import pytest
 
+from gcalc import blades as bl
 from gcalc import expr as ex
 from gcalc.algebra import Multivector, as_gram, dot as mv_dot, wedge as mv_wedge
 from gcalc.connection import conn_spec, levi_civita
 from gcalc.errors import FrameMismatch, JetBudgetExhausted
-from gcalc.manifest import builtin
-from gcalc.manifold import Chart, MultivectorField, dirderiv_scalar, eval_frame
-from gcalc.mdd import (add_fields, codifferential, codifferential_via_dual,
-                       curl, divergence, dual_field, eval_field, ext_d,
+from gcalc.manifest import builtin, load_manifest
+from gcalc.manifold import (Chart, MultivectorField, dirderiv_scalar,
+                            eval_frame, frame_jets)
+from gcalc.mdd import (DerivedField, add_fields, codifferential,
+                       codifferential_via_dual, curl, curl_field, divergence,
+                       divergence_field, dual_field, eval_field, ext_d,
                        ext_d_field, field_jets, grade_field, gradient,
                        gradient_field, mdd, mdd_along_basis, product_field,
                        reexpress_field, second_ops, unit_pseudoscalar_field)
@@ -20,6 +23,15 @@ SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
 FLAT2 = builtin("euclid2").chart
 FLAT3 = builtin("euclid3").chart
+MINKOWSKI = builtin("minkowski4").chart
+PARABOLOID = load_manifest({
+    "name": "para",
+    "coordinates": ["u", "v"],
+    "metric": [["1 + 4*u^2", "4*u*v"], ["4*u*v", "1 + 4*v^2"]],
+    "frames": {"tilted": [["1", "0"], ["1", "1"]]},
+    "contorsion": [{"i": 1, "j": 1, "k": 2, "expr": "u"},
+                   {"i": 1, "j": 2, "k": 1, "expr": "-u"}],
+}).chart
 
 CHI_SPHERE = (
     (1, 2, 1, "0.3*theta"), (1, 1, 2, "-0.3*theta"),
@@ -143,6 +155,59 @@ class TestLeibniz:
             spec = levi_civita(chart, frame)
             got = mdd(spec, [0.8, -0.6], I, point)
             assert got.norm_inf() < 1e-10
+
+
+def _gram_route(spec, field, combine):
+    """e^i (op) D_{e_i} field with e^i = g^{il} e_l multiplied through the
+    jet-valued frame Gram, the metric-laden form of the contraction."""
+    n = spec.n
+
+    def fn(point, order):
+        fj = frame_jets(spec.chart, spec.frame, point, order)
+        out: dict = {}
+        for i in range(n):
+            di = field_jets(mdd_along_basis(spec, i, field), point, order)
+            recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
+            if combine == "gp":
+                part = bl.gp_generic(recip, di, fj.gram, n)
+            elif combine == "dot":
+                part = bl.dot_generic(recip, di, fj.gram, n)
+            else:
+                part = bl.wedge_generic(recip, di)
+            bl.add_into(out, part)
+        return out
+
+    return DerivedField(spec.frame, field.budget - 1, fn)
+
+
+class TestMetricFreeContraction:
+    """e^i . e_j = delta^i_j lets the operators skip the frame Gram; they
+    must agree with the Gram-based products they replace."""
+
+    @pytest.mark.parametrize("chart,frame,comps,point", [
+        (PARABOLOID, "tilted",
+         {"": "u*v^2", "1": "u^2 - v", "2": "sin(u)*v", "1,2": "u*v + 1"},
+         (0.3, -0.4)),
+        (MINKOWSKI, "coord",
+         {"": "t*x", "1": "x*y", "2": "t^2 - z", "3": "sin(y)", "4": "t*z",
+          "1,2": "x*z", "2,4": "y^2", "1,2,3": "t + y"},
+         (0.2, -0.3, 0.5, 0.7)),
+    ])
+    def test_operators_match_gram_route(self, chart, frame, comps, point):
+        spec = conn_spec(chart, frame)
+        field = MultivectorField.parse(chart, comps, frame)
+        pairs = [
+            (gradient_field(spec, field), _gram_route(spec, field, "gp")),
+            (divergence_field(spec, field), _gram_route(spec, field, "dot")),
+            (curl_field(spec, field), _gram_route(spec, field, "wedge")),
+            (divergence_field(spec, curl_field(spec, field)),
+             _gram_route(spec, _gram_route(spec, field, "wedge"), "dot")),
+        ]
+        for new, old in pairs:
+            a, b = eval_field(new, point), eval_field(old, point)
+            scale = max(1.0, a.norm_inf(), b.norm_inf())
+            assert b.norm_inf() > 0.0
+            assert (a - b).norm_inf() <= 1e-12 * scale
 
 
 class TestGradient:
