@@ -15,8 +15,12 @@ matrix is defined here, once, by grade recursion on the left factor,
 which bottoms out in the two vector-level primitives: the contraction of a
 vector into a blade and the metric-free wedge.  :func:`blade_products` is
 that recursion and :func:`gp_generic` sums its output; the float products in
-:mod:`gcalc.algebra` contract with a structure-constant table filled by it.  Serialization uses 1-based
-comma-joined index keys: "" for the scalar slot, "1", "1,3", ...
+:mod:`gcalc.algebra` contract with a structure-constant table filled by it.
+
+A change of basis acts on blades as the outermorphism of the vector map,
+f(e_J) = f(e_{j1}) ^ ... ^ f(e_{jk}) (:func:`outermorphism`), built from the
+same metric-free wedge.  Serialization uses 1-based comma-joined index keys:
+"" for the scalar slot, "1", "1,3", ...
 """
 
 from __future__ import annotations
@@ -226,43 +230,29 @@ def dot_generic(A: dict, B: dict, gram, n: int) -> dict:
     return out
 
 
-def transform_components(M, comps: dict, n: int, det_fn) -> dict:
-    """Outermorphism action on blade components.
+def outermorphism(M, comps: dict) -> dict:
+    """Blade components after a change of basis.
 
     If old basis vectors expand in the new basis as old_i = sum_k M[i][k] new_k,
-    vector components map as new^k = sum_i M[i][k] old^i, and blade components
-    pick up minors: new^K = sum_J det(M[J;K]) old^J (rows J, columns K).
-    ``det_fn`` computes the determinant of a small nested-list matrix, so the
-    same routine serves float and jet matrices.
+    each old blade maps to the wedge of the images of its vectors,
+
+        f(e_{j1} ^ e_{j2} ^ ... ^ e_{jk}) = f(e_{j1}) ^ f(e_{j2} ^ ... ^ e_{jk}),
+
+    so every image is built from that of the blade one vector shorter, once
+    per call.  Entries of M may be floats or jets.
     """
+    images = {0: {0: 1.0}}
+
+    def image(mask: int) -> dict:
+        done = images.get(mask)
+        if done is not None:
+            return done
+        lead = (mask & -mask).bit_length() - 1
+        out = vector_wedge_mv(list(enumerate(M[lead])), image(mask & (mask - 1)))
+        images[mask] = out
+        return out
+
     out: dict = {}
     for mask, coeff in comps.items():
-        if isinstance(coeff, (int, float)) and coeff == 0.0:
-            continue
-        if mask == 0:
-            cur = out.get(0)
-            out[0] = coeff if cur is None else cur + coeff
-            continue
-        rows = indices_of(mask)
-        k = len(rows)
-        for target in _masks_of_grade(n, k):
-            cols = indices_of(target)
-            sub = [[M[r][c] for c in cols] for r in rows]
-            d = det_fn(sub)
-            if isinstance(d, (int, float)) and d == 0.0:
-                continue
-            term = coeff * d
-            cur = out.get(target)
-            out[target] = term if cur is None else cur + term
+        add_into(out, image(mask), coeff)
     return out
-
-
-def _masks_of_grade(n: int, k: int):
-    masks = _GRADE_MASKS.get((n, k))
-    if masks is None:
-        masks = [m for m in range(1 << n) if m.bit_count() == k]
-        _GRADE_MASKS[(n, k)] = masks
-    return masks
-
-
-_GRADE_MASKS: dict = {}

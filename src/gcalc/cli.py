@@ -100,6 +100,8 @@ def _parse_point(chart, text):
         if name not in chart.coords:
             raise DomainError(f"chart {chart.name!r} has no coordinate "
                               f"{name!r} (coords: {', '.join(chart.coords)})")
+        if name in values:
+            raise DomainError(f"coordinate {name!r} is given twice")
         try:
             values[name] = float(raw)
         except ValueError:
@@ -225,16 +227,8 @@ def cmd_connection(args):
 
 
 def cmd_check(args):
-    manifest_name = None
-    if args.manifest is not None:
-        # Validate the manifest (malformed input must fail fast with
-        # status 2); the suites themselves sample the builtin charts,
-        # whose closed-form oracles the checks are written against.
-        manifest_name = _load_bundle(args.manifest).chart.name
     report = run_checks(suite=args.suite, samples=args.samples,
                         seed=args.seed, tol=args.tol)
-    if manifest_name is not None:
-        report["manifest"] = manifest_name
     _emit(report)
     return 0 if report["status"] == "pass" else 1
 
@@ -361,8 +355,6 @@ def build_parser():
     p.set_defaults(handler=cmd_connection)
 
     p = sub.add_parser("check", help="run the seeded property suites")
-    p.add_argument("manifest", nargs="?", default=None,
-                   help="optional manifest to validate before checking")
     p.add_argument("--suite", default="all", choices=sorted(suite_names()),
                    help="which suite to run (default all)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,

@@ -16,10 +16,11 @@ first and second derivatives.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .errors import DimMismatch, ParseError, UnknownIdentifier
+from .errors import DimMismatch, DomainError, ParseError, UnknownIdentifier
 from .jets import (FUNCTIONS, Jet, apply_function, general_power, int_power,
                    value_of)
 
@@ -142,11 +143,28 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest expression tree accepted; every recursive walk over a tree
+# (parsing, evaluation, printing) stays far inside Python's stack limit.
+_MAX_DEPTH = 100
+
+
+def _height(node: Expr) -> int:
+    """Levels in an expression tree, counted without recursion."""
+    height, stack = 0, [(node, 1)]
+    while stack:
+        e, level = stack.pop()
+        height = max(height, level)
+        stack.extend((c, level + 1) for c in (getattr(e, f) for f in e.__slots__)
+                     if isinstance(c, Expr))
+    return height
+
+
 class _Parser:
     def __init__(self, text: str, coords):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.coords = {name: i for i, name in enumerate(coords)}
 
     def peek(self):
@@ -168,6 +186,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        if _height(node) > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", 0)
         return node
 
     def expr(self) -> Expr:
@@ -187,10 +207,18 @@ class _Parser:
         return node
 
     def unary(self) -> Expr:
+        # every recursive rule passes through here, so this bounds the recursion
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
+                             self.peek()[2])
         if self.peek()[0] == "-":
             self.take()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -203,7 +231,10 @@ class _Parser:
         tok = self.take()
         kind, text, at = tok
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is out of range", at)
+            return Num(value)
         if kind == "name":
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
@@ -313,13 +344,14 @@ def _eval(e: Expr, point, n: int, order: int):
         num = _eval(e.left, point, n, order)
         den = _eval(e.right, point, n, order)
         if value_of(den) == 0.0:
-            from .errors import DomainError
             raise DomainError("division by zero")
         return num / den
     if t is Pow:
         base = _eval(e.base, point, n, order)
         if _is_constant(e.expo):
             c = value_of(_eval(e.expo, point, n, 0))
+            if not math.isfinite(c):
+                raise DomainError(f"exponent {c!r} is not finite")
             if abs(c - round(c)) < 1e-12:
                 return int_power(base, int(round(c)))
             return general_power(base, c)

@@ -19,7 +19,7 @@ from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import value_of
 from .manifold import Chart, frame_jets
-from .mdd import DerivedField, _jet_minor_det, field_jets, reexpress_field
+from .mdd import DerivedField, field_jets, reexpress_field
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,18 @@ def form_add(a, b, ca=1.0, cb=1.0):
 def hat_map(chart: Chart, field):
     """Multivector field (coordinate frame) -> form, via the dx basis.
 
-    The coordinate blades expand over the gradient basis as e_J =
-    (minor determinants of g) dx^K; the resulting dx components are the form
-    components.  Fields over another frame are re-expressed first.
+    The coordinate vectors expand over the gradient basis as e_i = g_ik dx^k,
+    so the blades expand by the outermorphism, e_J = e_{j1} ^ ... ^ e_{jk};
+    the resulting dx components are the form components.  Fields over
+    another frame are re-expressed first.
     """
     if field.frame != "coord":
         field = reexpress_field(chart, field.frame, "coord", field)
-    n = chart.n
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        comps = field_jets(field, point, order)
-        return bl.prune(bl.transform_components(fj.g_coord, comps, n,
-                                                _jet_minor_det))
+        return bl.prune(bl.outermorphism(fj.g_coord,
+                                         field_jets(field, point, order)))
 
     # mixed-grade fields are transferred grade by grade; degree is only
     # meaningful when the input is pure, so record the top populated grade
@@ -150,12 +149,10 @@ def hat_map(chart: Chart, field):
 
 def unhat(chart: Chart, form) -> DerivedField:
     """Form -> multivector field over the coordinate frame (inverse of hat)."""
-    n = chart.n
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        comps = form_jets(form, point, order)
-        return bl.prune(bl.transform_components(fj.gram_inv, comps, n,
-                                                _jet_minor_det))
+        return bl.prune(bl.outermorphism(fj.gram_inv,
+                                         form_jets(form, point, order)))
 
     return DerivedField("coord", form.budget, fn)

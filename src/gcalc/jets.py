@@ -170,20 +170,21 @@ class Jet:
 
 def int_power(u, m: int):
     """u**m for integer m, valid for negative bases (and u != 0 when m < 0)."""
-    if isinstance(u, _NUMBER):
-        if m < 0 and u == 0:
-            raise DomainError("zero raised to a negative power")
-        return float(u) ** m
-    v = u.value
-    if m == 0:
-        return Jet.constant(1.0, 0, 0) if u.grad is None else \
-            Jet(1.0, np.zeros_like(u.grad),
-                None if u.hess is None else np.zeros_like(u.hess))
-    if m < 0 and v == 0.0:
+    if m < 0 and value_of(u) == 0.0:
         raise DomainError("zero raised to a negative power")
-    f0 = v ** m
-    f1 = m * v ** (m - 1) if m != 0 else 0.0
-    f2 = m * (m - 1) * v ** (m - 2) if m not in (0, 1) else 0.0
+    try:
+        if isinstance(u, _NUMBER):
+            return float(u) ** m
+        v = u.value
+        if m == 0:
+            return Jet.constant(1.0, 0, 0) if u.grad is None else \
+                Jet(1.0, np.zeros_like(u.grad),
+                    None if u.hess is None else np.zeros_like(u.hess))
+        f0 = v ** m
+        f1 = m * v ** (m - 1) if m != 0 else 0.0
+        f2 = m * (m - 1) * v ** (m - 2) if m not in (0, 1) else 0.0
+    except OverflowError:
+        raise DomainError(f"integer power of {value_of(u)!r} overflows") from None
     return _compose(u, f0, f1, f2)
 
 
@@ -248,11 +249,13 @@ FUNCTIONS = {
 
 def apply_function(name: str, u):
     """Apply a whitelisted function to a jet or plain number."""
-    rule = FUNCTIONS[name]
-    if isinstance(u, _NUMBER):
-        return rule(float(u), 0)[0]
-    f0, f1, f2 = rule(u.value, u.order)
-    return _compose(u, f0, f1, f2)
+    number = isinstance(u, _NUMBER)
+    v = float(u) if number else u.value
+    try:
+        f0, f1, f2 = FUNCTIONS[name](v, 0 if number else u.order)
+    except OverflowError:
+        raise DomainError(f"{name}({v!r}) overflows") from None
+    return f0 if number else _compose(u, f0, f1, f2)
 
 
 def value_of(x) -> float:

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from . import blades as bl
 from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, GcalcError, ParseError
 from .manifold import Chart, MultivectorField
@@ -91,7 +90,11 @@ def load_manifest(doc) -> Bundle:
             contorsion.append((entry["i"], entry["j"], entry["k"], entry["expr"]))
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"bad contorsion entry {entry!r}") from exc
-    orientation = int(doc.get("orientation", 1))
+    try:
+        orientation = int(doc.get("orientation", 1))
+    except (TypeError, ValueError):
+        raise ManifestError(f"orientation must be +1 or -1, got "
+                            f"{doc['orientation']!r}") from None
     domain = [tuple(b) for b in doc.get("domain", [])]
     if domain and len(domain) != len(coords):
         raise ManifestError("domain must list one (lo, hi) pair per coordinate")
@@ -111,13 +114,8 @@ def load_manifest(doc) -> Bundle:
             raise ManifestError(f"field {fld_name!r} references unknown frame {frame!r}")
         comps = spec.get("components", {})
         try:
-            for key in comps:
-                mask = bl.mask_from_key(key)
-                if mask >> chart.n:
-                    raise ManifestError(
-                        f"field {fld_name!r} blade key {key!r} exceeds dimension")
             fields[fld_name] = MultivectorField.parse(chart, comps, frame)
-        except (ParseError, ValueError) as exc:
+        except (ParseError, DimMismatch, ValueError) as exc:
             raise ManifestError(f"bad field {fld_name!r}: {exc}") from exc
     return Bundle(chart, fields)
 

@@ -322,6 +322,8 @@ class MultivectorField:
         comps = {}
         for key, e in components.items():
             mask = bl.mask_from_key(key) if isinstance(key, str) else int(key)
+            if mask >> chart.n:
+                raise DimMismatch(f"blade key {key!r} exceeds dimension {chart.n}")
             comps[mask] = chart.parse(e)
         return MultivectorField(frame, comps)
 

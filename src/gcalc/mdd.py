@@ -25,7 +25,11 @@ cross-checking.
 
 Every operator returns a field whose components can themselves be evaluated
 as jets, so operators stack; a jet-depth budget (2 on primitive fields, one
-less per operator) bounds the stacking depth.
+less per operator) bounds the stacking depth.  An operator evaluates its
+operand once per point and derives all n directional parts from that one
+evaluation, so a stack of k operators evaluates its primitive field k times.
+Changes of frame act on blade components by the outermorphism
+(:func:`gcalc.blades.outermorphism`).
 """
 
 from __future__ import annotations
@@ -85,30 +89,41 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise JetBudgetExhausted("field has no derivative budget left")
 
 
-def _mdd_basis_jets(spec: ConnSpec, i: int, field, point, order: int) -> dict:
-    """Components of D_{e_i} field as jets of the given order."""
+def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> list:
+    """Components of D_{e_i} field as jets of the given order, one map for
+    each direction i in ``dirs``.
+
+    The operand is evaluated once, and its partials and the blade
+    substitutions are found once, for all the directions.
+    """
     n = spec.n
     gj = gamma_jets(spec, point, order)
-    fj = gj.frame
-    comps = field_jets(field, point, order + 1)
-    out: dict = {}
-    for mask, cj in comps.items():
-        d = 0.0
-        for k in range(n):
-            d = d + fj.F[i][k] * cj.partial(k)
-        bl.add_into(out, {mask: d})
+    F = gj.frame.F
+    blades = []
+    for mask, cj in field_jets(field, point, order + 1).items():
+        subs = []
         for pos, jm in enumerate(bl.indices_of(mask)):
-            row = gj.mixed[i][jm]
-            for l in range(n):
-                res = bl.substitute(mask, pos, l)
-                if res is None:
-                    continue
-                sign, new_mask = res
-                term = cj * row[l]
-                if sign < 0:
-                    term = -term
-                bl.add_into(out, {new_mask: term})
-    return bl.prune(out)
+            targets = [(l, res) for l in range(n)
+                       if (res := bl.substitute(mask, pos, l)) is not None]
+            subs.append((jm, targets))
+        blades.append((mask, cj, [cj.partial(k) for k in range(n)], subs))
+    outs = []
+    for i in dirs:
+        out: dict = {}
+        for mask, cj, partials, subs in blades:
+            d = 0.0
+            for k in range(n):
+                d = d + F[i][k] * partials[k]
+            bl.add_into(out, {mask: d})
+            for jm, targets in subs:
+                row = gj.mixed[i][jm]
+                for l, (sign, new_mask) in targets:
+                    term = cj * row[l]
+                    if sign < 0:
+                        term = -term
+                    bl.add_into(out, {new_mask: term})
+        outs.append(bl.prune(out))
+    return outs
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
@@ -119,7 +134,7 @@ def mdd_along_basis(spec, i: int, field) -> DerivedField:
         raise FrameMismatch(f"basis direction {i} out of range for n={spec.n}")
 
     def fn(point, order):
-        return _mdd_basis_jets(spec, i, field, point, order)
+        return _mdd_basis_jets(spec, (i,), field, point, order)[0]
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 
@@ -132,12 +147,11 @@ def mdd(spec, a, field, point) -> Multivector:
     n = spec.n
     if len(a) != n:
         raise FrameMismatch(f"direction must have {n} frame components")
+    dirs = [i for i in range(n) if float(a[i]) != 0.0]
     out: dict = {}
-    for i in range(n):
-        ai = float(a[i])
-        if ai == 0.0:
-            continue
-        bl.add_into(out, _mdd_basis_jets(spec, i, field, point, 0), ai)
+    if dirs:
+        for i, di in zip(dirs, _mdd_basis_jets(spec, dirs, field, point, 0)):
+            bl.add_into(out, di, float(a[i]))
     return Multivector(n, {m: value_of(c) for m, c in out.items()})
 
 
@@ -159,8 +173,8 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
     def fn(point, order):
         fj = gamma_jets(spec, point, order).frame
         out: dict = {}
-        for i in range(n):
-            di = _mdd_basis_jets(spec, i, field, point, order)
+        for i, di in enumerate(_mdd_basis_jets(spec, range(n), field,
+                                               point, order)):
             if not di:
                 continue
             if combine != "wedge":
@@ -281,8 +295,8 @@ def second_ops(spec, field, point, a=None) -> dict:
     dd = {}
     for j in range(n):
         dj = mdd_along_basis(spec, j, field)
-        for i in range(n):
-            comps = _mdd_basis_jets(spec, i, dj, point, 0)
+        for i, comps in enumerate(_mdd_basis_jets(spec, range(n), dj,
+                                                  point, 0)):
             dd[i, j] = {m: value_of(c) for m, c in comps.items()}
 
     dot_dot: dict = {}
@@ -365,24 +379,7 @@ def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> Deri
                                   for i in range(n)])
         M = [[sum((src.F[i][k] * dst_inv[k][j] for k in range(n)), start=0.0)
               for j in range(n)] for i in range(n)]
-        comps = field_jets(field, point, order)
-        return bl.transform_components(M, comps, n, _jet_minor_det)
+        return bl.outermorphism(M, field_jets(field, point, order))
 
     return DerivedField(dst_frame, field.budget, fn)
 
-
-def _jet_minor_det(rows):
-    """Determinant of a small matrix of jets (cofactor expansion)."""
-    k = len(rows)
-    if k == 0:
-        return 1.0
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = 0.0
-    for j in range(k):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _jet_minor_det(minor)
-        det = det + (term if j % 2 == 0 else -term)
-    return det

@@ -92,16 +92,6 @@ def _pure_grade_comps(arg, k: int, n: int) -> dict:
     return comps
 
 
-def _recip_blade(frame_at: FrameAt, mask: int) -> dict:
-    """e^{J} = e^{j1} ^ ... ^ e^{jk} in frame components (floats)."""
-    n = frame_at.gram_inv.shape[0]
-    out = {0: 1.0}
-    for i in bl.indices_of(mask):
-        vec = {1 << l: frame_at.gram_inv[i][l] for l in range(n)}
-        out = bl.wedge_generic(out, vec)
-    return out
-
-
 def tensor_eval(T: TensorField, args, point) -> Multivector:
     """Multilinear evaluation on pure-grade multivector arguments."""
     point = tuple(float(p) for p in point)
@@ -125,9 +115,7 @@ def tensor_eval(T: TensorField, args, point) -> Multivector:
         out_coeff[key[-1]] = out_coeff.get(key[-1], 0.0) + val
 
     frame_at = eval_frame(T.chart, T.frame, point)
-    out: dict = {}
-    for mask, c in out_coeff.items():
-        bl.add_into(out, _recip_blade(frame_at, mask), c)
+    out = bl.outermorphism(frame_at.gram_inv, out_coeff)
     return Multivector(T.n, bl.prune(out, 0.0))
 
 
@@ -139,7 +127,6 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
     for f in arg_fields:
         if f.frame != T.frame:
             raise FrameMismatch("argument fields must share the tensor's frame")
-    n = T.n
     budget = min([2] + [f.budget for f in arg_fields])
 
     def fn(point, order):
@@ -165,17 +152,7 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
                 continue
             cur = out_coeff.get(key[-1])
             out_coeff[key[-1]] = prod if cur is None else cur + prod
-        out: dict = {}
-        for mask, c in out_coeff.items():
-            recip = {0: 1.0}
-            for i in bl.indices_of(mask):
-                vec = {1 << l: fj.gram_inv[i][l] for l in range(n)}
-                recip = bl.wedge_generic(recip, vec)
-            for m2, c2 in recip.items():
-                term = c * c2
-                cur = out.get(m2)
-                out[m2] = term if cur is None else cur + term
-        return bl.prune(out)
+        return bl.prune(bl.outermorphism(fj.gram_inv, out_coeff))
 
     return DerivedField(T.frame, budget, fn)
 
@@ -388,7 +365,7 @@ def tensor_conjugate_breve(chart: Chart, frame: str,
     n = chart.n
     gram = frame_gram_exprs(chart, frame)
     comps: dict = {}
-    for mask in bl._masks_of_grade(n, k):
+    for mask in (m for m in range(1 << n) if m.bit_count() == k):
         val = bl.dot_generic(dict(field.components), {mask: 1.0}, gram, n).get(0)
         if val is not None:
             comps[(mask, 0)] = val

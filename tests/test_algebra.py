@@ -8,6 +8,7 @@ from gcalc.algebra import (Gram, LinMap, Multivector, dot, dual, gp, grade,
                            pseudoscalar, reciprocal_frame, reverse, trace_rot,
                            tsa_decompose, wedge)
 from gcalc.errors import DimMismatch, MixedGrade, SingularFrame, SingularGram
+from gcalc.jets import Jet
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,32 @@ class TestGeometricProduct:
         for arr in (g.matrix, g.inverse, g.table):
             with pytest.raises(ValueError):
                 arr[0, 0] = 2.0
+
+
+class TestOutermorphism:
+    def test_matches_minor_determinants(self):
+        # f(e_J) built by wedging vector images must carry det(M[J;K]) on
+        # e_K, which _push takes from np.linalg.det of every minor
+        rng = np.random.default_rng(131)
+        for n in (2, 3, 4):
+            for _ in range(6):
+                M = rng.normal(size=(n, n))
+                A = _random_mv(rng, n)
+                got = Multivector(n, blades.outermorphism(M, A.coeffs))
+                want = _from_tuple_map(n, _push(M, _to_tuple_map(A)))
+                assert _dev(got, want) < 1e-13
+
+    def test_identity_and_jet_entries(self):
+        A = {0: 2.0, 0b011: -1.5, 0b111: 0.25}
+        assert blades.prune(blades.outermorphism(np.eye(3), A)) == A
+        # a 2x2 jet matrix: the bivector picks up the determinant, with its
+        # derivative by the product rule
+        x = Jet.variable(0.5, 1, 0, 1)
+        M = [[x, 0.0], [1.0, x * x]]
+        out = blades.outermorphism(M, {0b11: 1.0})
+        assert set(out) == {0b11}
+        assert out[0b11].value == 0.125
+        assert abs(out[0b11].grad[0] - 0.75) < 1e-15
 
 
 class TestWedgeDotGrade:

@@ -9,6 +9,7 @@ import pytest
 
 from gcalc.cli import main, render_json
 from gcalc.errors import DomainError
+from gcalc.manifest import ManifestError, load_manifest
 
 PI4 = "0.7853981633974483"
 
@@ -48,6 +49,39 @@ class TestRenderJson:
                    "--point", "x=0,y=0"])
         assert rc == 2
         assert "no field" in capsys.readouterr().err
+
+
+ORIENTATION_Q = json.dumps({"name": "q", "coordinates": ["u", "v"],
+                            "metric": [["1", "0"], ["0", "1"]],
+                            "orientation": "q"})
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "euclid2", "--op", "grad", "--field", "A: 3 = x",
+     "--point", "x=0,y=0"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: exp(1000*x)",
+     "--point", "x=1,y=0"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x^1e400",
+     "--point", "x=1,y=0"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x^(1e300*1e300)",
+     "--point", "x=1,y=0"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x^(10^400)",
+     "--point", "x=1,y=0"],
+    ["eval", ORIENTATION_Q, "--op", "grad", "--field", "phi: u",
+     "--point", "u=0,v=0"],
+    ["parse", "--coords", "x", "--text", "(" * 5000 + "x" + ")" * 5000],
+    ["parse", "--coords", "x", "--text", "x" + " + x" * 5000],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x",
+     "--point", "x=1,y=0,x=2"],
+], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
+        "infinite-exponent", "power-overflow", "orientation", "nesting",
+        "long-chain", "repeated-coordinate"])
+def test_bad_input_exits_two_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gcalc: error: ")
 
 
 class TestEval:
@@ -193,22 +227,10 @@ class TestCheck:
         proc = run_cli("check", "--suite", "bogus")
         assert proc.returncode == 2
 
-    def test_manifest_validated_and_echoed(self, tmp_path):
-        doc = {
-            "name": "demo",
-            "coordinates": ["u", "v"],
-            "metric": [["1", "0"], ["0", "1"]],
-        }
-        path = tmp_path / "demo.json"
-        path.write_text(json.dumps(doc))
-        out = run_json("check", str(path), "--suite", "expr",
-                       "--samples", "2")
-        assert out["manifest"] == "demo"
-
-        path.write_text("{not json")
-        proc = run_cli("check", str(path), "--suite", "expr",
-                       "--samples", "2")
-        assert proc.returncode == 2
+    def test_takes_no_manifest(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "chart.json", "--suite", "expr"])
+        assert exc.value.code == 2
 
     def test_suite_rows_match_full_run(self):
         sub = run_json("check", "--suite", "tensor", "--samples", "2")
@@ -301,6 +323,13 @@ class TestManifestFiles:
         out = run_json("eval", doc, "--op", "grad", "--field", "phi: u*v",
                        "--point", "u=3,v=5")
         assert out == {"1": 5.0, "2": 3.0}
+
+    def test_field_blade_beyond_dimension(self):
+        doc = {"name": "flat", "coordinates": ["u", "v"],
+               "metric": [["1", "0"], ["0", "1"]],
+               "fields": {"A": {"components": {"1,3": "u"}}}}
+        with pytest.raises(ManifestError, match="'A'.*exceeds dimension 2"):
+            load_manifest(doc)
 
     def test_missing_file_exits_two(self):
         proc = run_cli("eval", "/nonexistent/chart.json", "--op", "grad",

@@ -210,6 +210,32 @@ class TestMetricFreeContraction:
             assert (a - b).norm_inf() <= 1e-12 * scale
 
 
+class TestOperandEvaluations:
+    """Each operator evaluates its operand once per point, for all frame
+    directions, so a stack of k operators evaluates its field k times."""
+
+    @pytest.mark.parametrize("chart,comps,stack", [
+        (MINKOWSKI, {"1": "x*y", "2": "t*z", "3": "sin(x)", "4": "y^2"},
+         lambda spec, f: curl_field(spec, curl_field(spec, f))),
+        (FLAT3, {"": "x*y*z + sin(x)"},
+         lambda spec, f: divergence_field(spec, gradient_field(spec, f))),
+    ], ids=["minkowski4-curl-curl", "euclid3-div-grad"])
+    def test_field_jets_calls(self, monkeypatch, chart, comps, stack):
+        import gcalc.mdd as md
+        calls = []
+        inner = md.field_jets
+
+        def counting(field, point, order):
+            calls.append(order)
+            return inner(field, point, order)
+
+        monkeypatch.setattr(md, "field_jets", counting)
+        spec = levi_civita(chart, "coord")
+        field = MultivectorField.parse(chart, comps)
+        eval_field(stack(spec, field), (0.1, -0.2, 0.3, 0.4)[:chart.n])
+        assert sorted(calls) == [0, 1, 2]
+
+
 class TestGradient:
     def test_flat_scalar(self):
         spec = levi_civita(FLAT2, "coord")
