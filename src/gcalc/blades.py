@@ -25,6 +25,8 @@ same metric-free wedge.  Serialization uses 1-based comma-joined index keys:
 
 from __future__ import annotations
 
+from .errors import BladeKeyError
+
 
 def grade_of(mask: int) -> int:
     return mask.bit_count()
@@ -60,9 +62,13 @@ def mask_from_key(key: str) -> int:
     m = 0
     last = 0
     for part in key.split(","):
-        i = int(part)
+        try:
+            i = int(part)
+        except ValueError:
+            i = 0
         if i <= last:
-            raise ValueError(f"blade key {key!r}: indices must be ascending and 1-based")
+            raise BladeKeyError(f"blade key {key!r}: indices must be ascending "
+                                "and 1-based")
         last = i
         m |= 1 << (i - 1)
     return m

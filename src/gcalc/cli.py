@@ -16,6 +16,7 @@ property check fails, 2 on bad input.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -107,6 +108,8 @@ def _parse_point(chart, text):
         except ValueError:
             raise DomainError(f"coordinate value {raw!r} is not a number") \
                 from None
+        if not math.isfinite(values[name]):
+            raise DomainError(f"coordinate value {raw!r} is not finite")
     missing = [c for c in chart.coords if c not in values]
     if missing:
         raise DomainError(f"point is missing coordinates: "
@@ -133,6 +136,8 @@ def _parse_direction(n, text):
                               f"1..{n}") from None
         if i < 1:
             raise DomainError(f"direction index {i} out of range 1..{n}")
+        if not math.isfinite(a[i - 1]):
+            raise DomainError(f"direction component {raw!r} is not finite")
         seen = True
     if not seen:
         raise DomainError("direction has no components")
@@ -182,9 +187,10 @@ def cmd_eval(args):
     if frame not in chart.frames:
         raise DomainError(f"chart {chart.name!r} has no frame {frame!r}")
     point = _parse_point(chart, args.point)
+    if (args.op == "mdd") != (args.dir is not None):
+        raise DomainError("--dir is required by --op mdd and taken by no "
+                          "other operator")
     if args.op == "mdd":
-        if args.dir is None:
-            raise DomainError("--op mdd needs a --dir direction")
         a = _parse_direction(chart.n, args.dir)
         out = md.mdd(conn_spec(chart, frame), a, field, point)
     elif args.op == "grad":

@@ -9,21 +9,24 @@ with dg_i the directional derivative along frame vector e_i and L the Lie
 coefficients.  A metric-compatible connection is then Gamma = Gbar + chi for
 any contorsion chi antisymmetric in its last two slots.
 
-Coefficients are evaluated on jet-valued frame data, so the same formula
-yields values or first derivatives as needed by nested derivative operators.
+Coefficients are whole-array jets (:mod:`gcalc.jets`) computed from the
+array-jet frame data, so the same formula yields values or first
+derivatives as needed by nested derivative operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from .errors import FrameMismatch, InvalidContorsion
-from .jets import value_of
-from .manifold import Chart, FrameAt, MultivectorField, eval_frame, frame_jets
+from .jets import Jet, contract
+from .manifold import (Chart, FrameAt, FrameJets, MultivectorField, eval_frame,
+                       frame_jets)
 
 _CHI_TOL = 1e-10
 
@@ -63,72 +66,50 @@ def levi_civita(chart: Chart, frame: str) -> ConnSpec:
     return conn_spec(chart, frame, ())
 
 
-class GammaJets:
-    """Connection coefficients as jets at one point (internal work object)."""
+class GammaJets(NamedTuple):
+    """Connection coefficients as array jets at one point (internal work
+    object)."""
 
-    __slots__ = ("spec", "point", "order", "frame", "gammabar", "chi", "gamma",
-                 "mixed")
-
-    def __init__(self, spec, point, order, frame, gammabar, chi, gamma, mixed):
-        self.spec = spec
-        self.point = point
-        self.order = order
-        self.frame = frame          # FrameJets at order + 1
-        self.gammabar = gammabar    # [i][j][k], jets at order
-        self.chi = chi
-        self.gamma = gamma
-        self.mixed = mixed          # [i][j][l] = sum_k gamma_ijk g^{kl}
+    frame: FrameJets      # at order + 1
+    gammabar: Jet         # [i, j, k]
+    chi: Jet
+    gamma: Jet
+    mixed: Jet            # [i, j, l] = sum_k gamma_ijk g^{kl}
 
 
 @lru_cache(maxsize=8192)
 def gamma_jets(spec: ConnSpec, point: tuple, order: int) -> GammaJets:
     """Evaluate Gbar, chi, Gamma and the mixed coefficients as jets."""
-    n = spec.n
     fj = frame_jets(spec.chart, spec.frame, point, order + 1)
     dg, lie = fj.dgram, fj.lie
+    # transpose(1, 2, 0) reads A[k, i, j]; transpose(2, 0, 1) reads A[j, k, i]
+    gammabar = (dg - dg.transpose(1, 2, 0) + dg.transpose(2, 0, 1)
+                + lie - lie.transpose(2, 0, 1) + lie.transpose(1, 2, 0)) * 0.5
+    chi = _chi_jets(spec, point, order)
+    gamma = gammabar + chi
+    mixed = contract("ijk,kl->ijl", gamma, fj.gram_inv)
+    return GammaJets(fj, gammabar, chi, gamma, mixed)
 
-    gammabar = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gammabar[i][j][k] = (
-                    (dg[i][j][k] - dg[k][i][j] + dg[j][k][i]) * 0.5
-                    + (lie[i][j][k] - lie[j][k][i] + lie[k][i][j]) * 0.5)
 
-    chi = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+def _chi_jets(spec: ConnSpec, point: tuple, order: int) -> Jet:
+    """The contorsion as a jet, after the range and antisymmetry checks."""
+    n = spec.n
+    flat = [Jet.constant(0.0, n, order)] * n ** 3
     for (i, j, k, e) in spec.chi:
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             raise InvalidContorsion(f"contorsion index ({i},{j},{k}) out of range")
-        jet = ex.eval_jet(e, point, order)
-        chi[i - 1][j - 1][k - 1] = chi[i - 1][j - 1][k - 1] + jet
-    scale = max([1.0] + [abs(value_of(chi[i][j][k]))
-                         for i in range(n) for j in range(n) for k in range(n)])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                dev = abs(value_of(chi[i][j][k]) + value_of(chi[i][k][j]))
-                if dev > _CHI_TOL * scale:
-                    raise InvalidContorsion(
-                        f"contorsion antisymmetry violated at entry "
-                        f"({i + 1},{j + 1},{k + 1}): deviation {dev:.3e}")
-
-    gamma = [[[gammabar[i][j][k] + chi[i][j][k] for k in range(n)]
-              for j in range(n)] for i in range(n)]
-    mixed = [[[_dot_row(gamma[i][j], [fj.gram_inv[k][l] for k in range(n)])
-               for l in range(n)] for j in range(n)] for i in range(n)]
-    return GammaJets(spec, point, order, fj, gammabar, chi, gamma, mixed)
-
-
-def _dot_row(a, b):
-    s = 0.0
-    for x, y in zip(a, b):
-        s = s + x * y
-    return s
-
-
-def _values3(arr, n):
-    return np.array([[[value_of(arr[i][j][k]) for k in range(n)]
-                      for j in range(n)] for i in range(n)])
+        at = ((i - 1) * n + j - 1) * n + k - 1
+        flat[at] = flat[at] + ex.eval_jet(e, point, order)
+    chi = Jet.stack(flat, (n, n, n))
+    scale = max(1.0, float(np.max(np.abs(chi.value))))
+    dev = np.abs(chi.value + chi.value.transpose(0, 2, 1))
+    bad = np.argwhere(dev > _CHI_TOL * scale)
+    if len(bad):
+        i, j, k = bad[0]
+        raise InvalidContorsion(
+            f"contorsion antisymmetry violated at entry "
+            f"({i + 1},{j + 1},{k + 1}): deviation {dev[i, j, k]:.3e}")
+    return chi
 
 
 @dataclass
@@ -156,10 +137,9 @@ def connection_at(chart: Chart, frame: str, point, chi=None) -> ConnectionAt:
     point = tuple(float(p) for p in point)
     spec = conn_spec(chart, frame, chi)
     gj = gamma_jets(spec, point, 0)
-    n = chart.n
     return ConnectionAt(spec, point, eval_frame(chart, frame, point),
-                        _values3(gj.gammabar, n), _values3(gj.chi, n),
-                        _values3(gj.gamma, n))
+                        gj.gammabar.value.copy(), gj.chi.value.copy(),
+                        gj.gamma.value.copy())
 
 
 def mixed_gamma(conn: ConnectionAt) -> np.ndarray:
@@ -185,35 +165,22 @@ def torsion(chart: Chart, frame: str, field_a, field_b, point, chi=None) -> np.n
     fa = MultivectorField.vector(chart, field_a, frame)
     fb = MultivectorField.vector(chart, field_b, frame)
 
-    a_jets = [ex.eval_jet(fa.components.get(1 << i, ex.Num(0.0)), point, 1)
-              for i in range(n)]
-    b_jets = [ex.eval_jet(fb.components.get(1 << i, ex.Num(0.0)), point, 1)
-              for i in range(n)]
-    a_vals = [j.value for j in a_jets]
-    b_vals = [j.value for j in b_jets]
+    a = Jet.stack([ex.eval_jet(fa.components.get(1 << i, ex.Num(0.0)), point, 1)
+                   for i in range(n)], (n,))
+    b = Jet.stack([ex.eval_jet(fb.components.get(1 << i, ex.Num(0.0)), point, 1)
+                   for i in range(n)], (n,))
 
-    dab = _mdd.mdd(spec, a_vals, fb, point)
-    dba = _mdd.mdd(spec, b_vals, fa, point)
+    dab = _mdd.mdd(spec, a.value, fb, point)
+    dba = _mdd.mdd(spec, b.value, fa, point)
 
     # [a, b] via coordinate components a_coord^k = a^i F_i^k
-    fj = frame_jets(chart, frame, point, 1)
-    a_coord = [sum((a_jets[i] * fj.F[i][k] for i in range(n)), start=0.0)
-               for k in range(n)]
-    b_coord = [sum((b_jets[i] * fj.F[i][k] for i in range(n)), start=0.0)
-               for k in range(n)]
-    bracket = np.zeros(n)
-    for k in range(n):
-        bracket[k] = sum(value_of(a_coord[l]) * b_coord[k].grad[l]
-                         - value_of(b_coord[l]) * a_coord[k].grad[l]
-                         for l in range(n))
-    F = np.array([[value_of(fj.F[i][k]) for k in range(n)] for i in range(n)])
-    bracket_frame = np.linalg.solve(F.T, bracket)
+    F = frame_jets(chart, frame, point, 1).F
+    a_coord = contract("i,ik->k", a, F)
+    b_coord = contract("i,ik->k", b, F)
+    bracket = b_coord.grad @ a_coord.value - a_coord.grad @ b_coord.value
+    bracket_frame = np.linalg.solve(F.value.T, bracket)
 
-    out = np.zeros(n)
-    for i in range(n):
-        out[i] = dab.coeffs.get(1 << i, 0.0) - dba.coeffs.get(1 << i, 0.0) \
-            - bracket_frame[i]
-    return out
+    return np.array([dab[1 << i] - dba[1 << i] for i in range(n)]) - bracket_frame
 
 
 def contorsion_apply(conn_d: ConnSpec, conn_nabla: ConnSpec, a, field, point):

@@ -26,6 +26,10 @@ class DomainError(GcalcError):
     nonpositive number, fractional power of a negative base, ...)."""
 
 
+class BladeKeyError(GcalcError):
+    """A blade key that is not ascending 1-based indices such as "1,3"."""
+
+
 class DimMismatch(GcalcError):
     """Operands or points whose dimensions disagree."""
 

@@ -1,21 +1,31 @@
-"""Forward-mode jets: scalars that carry exact derivatives up to order two.
+"""Forward-mode jets: values of any shape that carry exact derivatives up to
+order two.
 
-A ``Jet`` holds a value together with an optional gradient (length n) and an
-optional symmetric Hessian (n by n) with respect to n chart coordinates.
-Arithmetic propagates derivatives exactly; when two jets of different order
+A ``Jet`` of shape S holds a value of shape S (a float when S is ()), an
+optional gradient of shape S+(n,) and an optional Hessian of shape S+(n, n)
+with respect to n chart coordinates: vector-mode forward differentiation
+with array-valued Taylor coefficients (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 13).  When two jets of different order
 meet, the result is truncated to the lower order.  Plain Python numbers mix
 freely and act as constants.
 
-The chain rule for a smooth f applied to a jet u is
+Scalar jets (S = ()) carry the expression layer.  Their products and the
+chain rule for a smooth f applied to a jet u,
 
     value  f(u)
     grad   f'(u) * u.grad
-    hess   f'(u) * u.hess + f''(u) * outer(u.grad, u.grad)
+    hess   f'(u) * u.hess + f''(u) * outer(u.grad, u.grad),
 
-which is what :func:`apply_function` implements for the supported function
-set.  A small dense linear-algebra helper (determinant and inverse together,
-by Gauss-Jordan elimination with value pivoting) lets metric-derived
-quantities be pushed through as jets.
+are the arithmetic operators and :func:`apply_function`.  Jets of every
+shape add, subtract, scale by numbers and transpose.  Array jets carry the
+frame and connection layers: :func:`contract` is the product rule of an
+einsum contraction, one einsum per Taylor term, and :func:`mat_det_inv`
+gives the determinant and inverse of a matrix jet in closed form,
+
+    d(G^-1) = -G^-1 dG G^-1,    d(det G) = det G tr(G^-1 dG),
+
+with their second-order terms.  Indexing an array jet reads its entries as
+scalar jets; that entry view is built once per jet.
 """
 
 from __future__ import annotations
@@ -27,13 +37,16 @@ import numpy as np
 from .errors import DomainError
 
 _NUMBER = (int, float, np.floating, np.integer)
+# Bound once: the constructor tests for it on every scalar jet it makes.
+_ndarray = np.ndarray
 
 
 class Jet:
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "grad", "hess", "_entries")
 
     def __init__(self, value, grad=None, hess=None):
-        self.value = float(value)
+        cls = value.__class__
+        self.value = value if cls is float or cls is _ndarray else float(value)
         self.grad = grad
         self.hess = hess
 
@@ -62,13 +75,56 @@ class Jet:
             return cls(value, g)
         return cls(value, g, np.zeros((n, n)))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The Taylor coefficients carried: (value[, grad[, hess]])."""
+        return (self.value, self.grad, self.hess)[:self.order + 1]
+
+    @staticmethod
+    def stack(jets, shape) -> "Jet":
+        """The jet of the given shape whose entries, in C order, are the
+        scalar jets ``jets``."""
+        order = min(j.order for j in jets)
+        columns = zip(*(j.coeffs[:order + 1] for j in jets))
+        return Jet(*(np.array(c).reshape(shape + np.shape(c[0])) for c in columns))
+
     def partial(self, k: int) -> "Jet":
-        """The k-th partial derivative, one order lower than self."""
+        """The k-th partial derivative of a scalar jet, one order lower."""
         if self.grad is None:
             raise DomainError("cannot differentiate an order-0 jet")
         if self.hess is None:
-            return Jet(self.grad[k])
-        return Jet(self.grad[k], self.hess[k].copy())
+            return Jet(float(self.grad[k]))
+        return Jet(float(self.grad[k]), self.hess[k].copy())
+
+    def partials(self) -> "Jet":
+        """All partial derivatives as one jet of shape S+(n,), one order
+        lower: entry [..., k] is the k-th partial of entry [...]."""
+        if self.grad is None:
+            raise DomainError("cannot differentiate an order-0 jet")
+        return Jet(self.grad, self.hess)
+
+    def transpose(self, *axes) -> "Jet":
+        """Permute the value axes; the derivative axes stay last."""
+        return Jet(*(c.transpose(axes + tuple(range(len(axes), c.ndim)))
+                     for c in self.coeffs))
+
+    def entries(self) -> list:
+        """The entries as scalar jets, in nested lists of the jet's shape.
+        Built on the first call and kept, so later reads are list indexing."""
+        try:
+            return self._entries
+        except AttributeError:
+            pass
+        shape = self.value.shape
+        coeffs = [c.reshape((-1,) + c.shape[len(shape):]) for c in self.coeffs]
+        flat = [Jet(*c) for c in zip(coeffs[0].tolist(), *coeffs[1:])]
+        for size in reversed(shape[1:]):
+            flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+        self._entries = flat
+        return flat
+
+    def __getitem__(self, index):
+        return self.entries()[index]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -270,39 +326,53 @@ def general_power(base, expo):
     return apply_function("exp", expo * apply_function("log", base))
 
 
-# -- small dense linear algebra over jets ---------------------------------
+# -- array jets -------------------------------------------------------------
 
-def mat_det_inv(m):
-    """Determinant and inverse of a small matrix of jets/floats.
+def contract(spec: str, a: Jet, b: Jet) -> Jet:
+    """``np.einsum(spec, a, b)`` on the values, with derivatives by the
+    product rule; ``spec`` names the value axes in lower-case letters."""
+    inputs, out = spec.split("->")
+    sa, sb = inputs.split(",")
+    value = np.einsum(spec, a.value, b.value)
+    order = min(a.order, b.order)
+    if order == 0:
+        return Jet(value)
+    grad = (np.einsum(f"{sa}X,{sb}->{out}X", a.grad, b.value)
+            + np.einsum(f"{sa},{sb}X->{out}X", a.value, b.grad))
+    if order == 1:
+        return Jet(value, grad)
+    cross = np.einsum(f"{sa}X,{sb}Y->{out}XY", a.grad, b.grad)
+    hess = (np.einsum(f"{sa}XY,{sb}->{out}XY", a.hess, b.value)
+            + np.einsum(f"{sa},{sb}XY->{out}XY", a.value, b.hess)
+            + cross + cross.swapaxes(-1, -2))
+    return Jet(value, grad, hess)
 
-    Gauss-Jordan with partial pivoting on jet values.  Returns
-    ``(det, inv)`` where inv is a list of row lists.  Raises DomainError
-    if a zero pivot makes the matrix singular.
+
+def mat_det_inv(m: Jet):
+    """Determinant (a scalar jet) and inverse (a matrix jet) of a square
+    matrix jet G.  With A = G^-1 and dG_x, H_xy the partials of G,
+
+        d_x A    = -A dG_x A
+        d_xy A   = A dG_x A dG_y A + A dG_y A dG_x A - A H_xy A
+        d_x det  = det tr(A dG_x)
+        d_xy det = det (tr(A dG_x) tr(A dG_y) - tr(A dG_x A dG_y)
+                        + tr(A H_xy)).
+
+    Raises ``numpy.linalg.LinAlgError`` if the value is singular.
     """
-    n = len(m)
-    a = [list(row) for row in m]
-    inv = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    det = 1.0
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(value_of(a[r][col])))
-        if value_of(a[pivot][col]) == 0.0:
-            raise DomainError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        p = a[col][col]
-        det = det * p
-        for j in range(n):
-            a[col][j] = a[col][j] / p
-            inv[col][j] = inv[col][j] / p
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if isinstance(f, _NUMBER) and f == 0.0:
-                continue
-            for j in range(n):
-                a[r][j] = a[r][j] - f * a[col][j]
-                inv[r][j] = inv[r][j] - f * inv[col][j]
-    return det, inv
+    inv = np.linalg.inv(m.value)
+    det = float(np.linalg.det(m.value))
+    if m.grad is None:
+        return Jet(det), Jet(inv)
+    a_dg = np.einsum("ij,jkX->ikX", inv, m.grad)
+    tr = np.einsum("iiX->X", a_dg)
+    inv_grad = -np.einsum("ikX,kj->ijX", a_dg, inv)
+    if m.hess is None:
+        return Jet(det, det * tr), Jet(inv, inv_grad)
+    a_dg2 = np.einsum("ikX,kjY->ijXY", a_dg, a_dg)
+    a_h = np.einsum("ij,jkXY->ikXY", inv, m.hess)
+    inv_hess = np.einsum("ikXY,kj->ijXY",
+                         a_dg2 + a_dg2.swapaxes(2, 3) - a_h, inv)
+    det_hess = det * (np.outer(tr, tr) - np.einsum("iiXY->XY", a_dg2)
+                      + np.einsum("iiXY->XY", a_h))
+    return Jet(det, det * tr, det_hess), Jet(inv, inv_grad, inv_hess)

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .errors import DimMismatch, FrameMismatch, GcalcError, ParseError
+from .errors import (BladeKeyError, DimMismatch, FrameMismatch, GcalcError,
+                     ParseError)
 from .manifold import Chart, MultivectorField
 
 
@@ -115,7 +116,7 @@ def load_manifest(doc) -> Bundle:
         comps = spec.get("components", {})
         try:
             fields[fld_name] = MultivectorField.parse(chart, comps, frame)
-        except (ParseError, DimMismatch, ValueError) as exc:
+        except (ParseError, DimMismatch, BladeKeyError) as exc:
             raise ManifestError(f"bad field {fld_name!r}: {exc}") from exc
     return Bundle(chart, fields)
 

@@ -6,9 +6,11 @@ expressions, row i holding the coordinate components of the frame vector e_i;
 the identity frame is always present under the name "coord".
 
 Frame data at a point (frame Gram, its inverse, reciprocal rows, Lie
-coefficients, frame-direction metric derivatives) is produced by evaluating
-the defining expressions as jets, so the same code yields plain numbers or
-first/second derivative information as needed by the derivative operators.
+coefficients, frame-direction metric derivatives) is computed on whole-array
+jets (:mod:`gcalc.jets`): the frame rows and the metric are evaluated as jets
+once, and each derived quantity is one contraction or one closed-form
+inverse, so the same code yields plain numbers or first/second derivative
+information as needed by the derivative operators.
 
 Lie coefficients follow the commutator of frame vector fields,
 
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, SingularFrame, SingularGram
-from .jets import mat_det_inv, value_of
+from .jets import Jet, contract, mat_det_inv
 
 _ORTHO_TOL = 1e-10
 _HOLO_TOL = 1e-10
@@ -117,29 +120,26 @@ class FrameAt:
     dgram: np.ndarray         # dgram[i, j, k] = directional derivative of g_jk along e_i
 
 
-class FrameJets:
-    """Frame data with jet-valued entries (internal work object).
+class FrameJets(NamedTuple):
+    """Frame data as array jets at one point (internal work object).
 
-    ``order`` is the derivative order carried by F, the coordinate metric and
-    the frame Gram; bracket data (lie, dgram) sits one order lower.
+    F, the coordinate metric and the frame Gram carry the order asked of
+    :func:`frame_jets`; bracket data (lie, dgram) sits one order lower.
     """
 
-    __slots__ = ("chart", "frame", "point", "order", "F", "g_coord", "gram",
-                 "gram_inv", "lie", "dgram", "det_gram")
+    F: Jet                # F[i, k]: coordinate components of e_i
+    g_coord: Jet
+    gram: Jet             # F g F^T
+    gram_inv: Jet
+    lie: Jet              # L[i, j, k]; None at order 0
+    dgram: Jet            # dgram[i, j, k] = e_i(g_jk); None at order 0
+    det_gram: Jet
 
-    def __init__(self, chart, frame, point, order, F, g_coord, gram, gram_inv,
-                 lie, dgram, det_gram):
-        self.chart = chart
-        self.frame = frame
-        self.point = point
-        self.order = order
-        self.F = F
-        self.g_coord = g_coord
-        self.gram = gram
-        self.gram_inv = gram_inv
-        self.lie = lie
-        self.dgram = dgram
-        self.det_gram = det_gram
+
+def _matrix_jet(rows, point, order):
+    n = len(rows)
+    return Jet.stack([ex.eval_jet(e, point, order) for row in rows for e in row],
+                     (n, n))
 
 
 @lru_cache(maxsize=8192)
@@ -152,96 +152,41 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     """
     n = chart.n
     ex.check_point(point, n)
-    rows = chart.frame_rows(frame)
-    F = [[ex.eval_jet(rows[i][k], point, order) for k in range(n)] for i in range(n)]
-    g_coord = [[ex.eval_jet(chart.metric[i][j], point, order) for j in range(n)]
-               for i in range(n)]
+    F = _matrix_jet(chart.frame_rows(frame), point, order)
+    g_coord = _matrix_jet(chart.metric, point, order)
 
-    fvals = np.array([[value_of(F[i][k]) for k in range(n)] for i in range(n)])
-    scale = max(1.0, float(np.max(np.abs(fvals))))
-    if abs(np.linalg.det(fvals)) < 1e-12 * scale ** n:
+    scale = max(1.0, float(np.max(np.abs(F.value))))
+    if abs(np.linalg.det(F.value)) < 1e-12 * scale ** n:
         raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
 
-    gram = [[_sym_dot(F[i], F[j], g_coord) for j in range(n)] for i in range(n)]
+    g_rows = contract("kl,jl->kj", g_coord, F)      # g F^T
+    gram = contract("ik,kj->ij", F, g_rows)
     try:
         det_gram, gram_inv = mat_det_inv(gram)
-    except Exception as exc:
+    except np.linalg.LinAlgError as exc:
         raise SingularGram(f"frame Gram is singular at {point}") from exc
-    if abs(value_of(det_gram)) < 1e-12:
+    if abs(det_gram.value) < 1e-12:
         raise SingularGram(f"frame Gram is singular at {point}")
 
     lie = None
     dgram = None
     if order >= 1:
-        lie = _lie_coefficients(F, g_coord, n)
-        dgram = [[[_dir_deriv(F[i], gram[j][k]) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-    return FrameJets(chart, frame, point, order, F, g_coord, gram, gram_inv,
-                     lie, dgram, det_gram)
-
-
-def _sym_dot(row_a, row_b, g):
-    n = len(row_a)
-    s = 0.0
-    for l in range(n):
-        for m in range(n):
-            s = s + row_a[l] * g[l][m] * row_b[m]
-    return s
-
-
-def _dir_deriv(frame_row, scalar_jet):
-    """Directional derivative along a frame row; drops one jet order."""
-    n = len(frame_row)
-    s = 0.0
-    for k in range(n):
-        s = s + frame_row[k] * scalar_jet.partial(k)
-    return s
-
-
-def _lie_coefficients(F, g_coord, n):
-    """L[i][j][k], one jet order below the frame data."""
-    # coordinate components of [e_i, e_j]
-    bracket = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for k in range(n):
-                s = 0.0
-                for l in range(n):
-                    s = s + F[i][l] * F[j][k].partial(l) - F[j][l] * F[i][k].partial(l)
-                bracket[i][j][k] = s
-    out = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = 0.0
-                for m in range(n):
-                    for l in range(n):
-                        s = s + bracket[i][j][m] * g_coord[m][l] * F[k][l]
-                out[i][j][k] = s
-    return out
-
-
-def _values(mat):
-    return np.array([[value_of(c) for c in row] for row in mat])
+        bracket = contract("il,jkl->ijk", F, F.partials())
+        bracket = bracket - bracket.transpose(1, 0, 2)
+        lie = contract("ijm,mk->ijk", bracket, g_rows)
+        dgram = contract("il,jkl->ijk", F, gram.partials())
+    return FrameJets(F, g_coord, gram, gram_inv, lie, dgram, det_gram)
 
 
 def eval_frame(chart: Chart, frame: str, point) -> FrameAt:
     """Numeric frame data at a point (Gram, reciprocal rows, Lie coefficients)."""
     point = tuple(float(p) for p in point)
     fj = frame_jets(chart, frame, point, 1)
-    F = _values(fj.F)
-    gram = _values(fj.gram)
-    gram = (gram + gram.T) / 2.0
-    gram_inv = _values(fj.gram_inv)
-    reciprocal = gram_inv @ F
-    n = chart.n
-    lie = np.array([[[value_of(fj.lie[i][j][k]) for k in range(n)]
-                     for j in range(n)] for i in range(n)])
-    dgram = np.array([[[value_of(fj.dgram[i][j][k]) for k in range(n)]
-                       for j in range(n)] for i in range(n)])
-    return FrameAt(chart, frame, point, F, gram, gram_inv, reciprocal, lie, dgram)
+    F = fj.F.value.copy()
+    gram = (fj.gram.value + fj.gram.value.T) / 2.0
+    gram_inv = fj.gram_inv.value.copy()
+    return FrameAt(chart, frame, point, F, gram, gram_inv, gram_inv @ F,
+                   fj.lie.value.copy(), fj.dgram.value.copy())
 
 
 def classify_frame(frame_at: FrameAt) -> dict:
@@ -280,13 +225,8 @@ def lie_bracket(chart: Chart, field_a, field_b, point) -> np.ndarray:
     b = [ex.eval_jet(chart.parse(c), point, 1) for c in field_b]
     if len(a) != n or len(b) != n:
         raise DimMismatch("vector fields must have n components")
-    out = np.zeros(n)
-    for k in range(n):
-        s = 0.0
-        for l in range(n):
-            s += a[l].value * b[k].grad[l] - b[l].value * a[k].grad[l]
-        out[k] = s
-    return out
+    a, b = Jet.stack(a, (n,)), Jet.stack(b, (n,))
+    return b.grad @ a.value - a.grad @ b.value
 
 
 def sample_point(chart: Chart, rng) -> tuple:
@@ -297,8 +237,7 @@ def sample_point(chart: Chart, rng) -> tuple:
 def gradient_basis(chart: Chart, point) -> np.ndarray:
     """Rows are the coordinate components of the gradient vectors dx^i = g^{ij} e(x_j)."""
     point = tuple(float(p) for p in point)
-    fj = frame_jets(chart, "coord", point, 0)
-    return _values(fj.gram_inv)
+    return frame_jets(chart, "coord", point, 0).gram_inv.value.copy()
 
 
 @dataclass(frozen=True)

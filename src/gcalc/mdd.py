@@ -41,7 +41,7 @@ from . import expr as ex
 from .algebra import Multivector
 from .connection import ConnectionAt, ConnSpec, gamma_jets, levi_civita
 from .errors import FrameMismatch, JetBudgetExhausted
-from .jets import apply_function, mat_det_inv, value_of
+from .jets import apply_function, contract, mat_det_inv, value_of
 from .manifold import Chart, MultivectorField, frame_jets
 
 
@@ -98,7 +98,8 @@ def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> list:
     """
     n = spec.n
     gj = gamma_jets(spec, point, order)
-    F = gj.frame.F
+    F = gj.frame.F.entries()
+    mixed = gj.mixed.entries()
     blades = []
     for mask, cj in field_jets(field, point, order + 1).items():
         subs = []
@@ -116,7 +117,7 @@ def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> list:
                 d = d + F[i][k] * partials[k]
             bl.add_into(out, {mask: d})
             for jm, targets in subs:
-                row = gj.mixed[i][jm]
+                row = mixed[i][jm]
                 for l, (sign, new_mask) in targets:
                     term = cj * row[l]
                     if sign < 0:
@@ -171,7 +172,7 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
     n = spec.n
 
     def fn(point, order):
-        fj = gamma_jets(spec, point, order).frame
+        ginv = gamma_jets(spec, point, order).frame.gram_inv.entries()
         out: dict = {}
         for i, di in enumerate(_mdd_basis_jets(spec, range(n), field,
                                                point, order)):
@@ -180,7 +181,7 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
             if combine != "wedge":
                 bl.add_into(out, _interior(i, di))
             if combine != "dot":
-                recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
+                recip = {1 << l: ginv[i][l] for l in range(n)}
                 bl.add_into(out, bl.wedge_generic(recip, di))
         return bl.prune(out)
 
@@ -290,8 +291,7 @@ def second_ops(spec, field, point, a=None) -> dict:
     out = {"grad_grad": eval_field(gradient_field(spec, g1), point)}
 
     fj = frame_jets(spec.chart, spec.frame, point, 0)
-    gram = [[value_of(fj.gram[i][j]) for j in range(n)] for i in range(n)]
-    ginv = [[value_of(fj.gram_inv[i][j]) for j in range(n)] for i in range(n)]
+    gram, ginv = fj.gram.value.tolist(), fj.gram_inv.value.tolist()
     dd = {}
     for j in range(n):
         dj = mdd_along_basis(spec, j, field)
@@ -368,17 +368,13 @@ def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> Deri
     """
     if field.frame != src_frame:
         raise FrameMismatch("field is not expressed in the stated source frame")
-    n = chart.n
 
     def fn(point, order):
         src = frame_jets(chart, src_frame, point, order)
         dst = frame_jets(chart, dst_frame, point, order)
         # rows of M: source frame vectors in destination-frame components,
         # e_i(src) = M[i][j] e_j(dst) with M = F_src F_dst^{-1}
-        _, dst_inv = mat_det_inv([[dst.F[i][k] for k in range(n)]
-                                  for i in range(n)])
-        M = [[sum((src.F[i][k] * dst_inv[k][j] for k in range(n)), start=0.0)
-              for j in range(n)] for i in range(n)]
+        M = contract("ik,kj->ij", src.F, mat_det_inv(dst.F)[1])
         return bl.outermorphism(M, field_jets(field, point, order))
 
     return DerivedField(dst_frame, field.budget, fn)

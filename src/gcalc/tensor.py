@@ -248,10 +248,8 @@ def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.nd
     n = T.n
     rank = sig.rank
     gj = gamma_jets(spec, point, 0)
-    fj = gj.frame
-    F = [[value_of(fj.F[i][k]) for k in range(n)] for i in range(n)]
-    mixed = [[[value_of(gj.mixed[i][j][l]) for l in range(n)] for j in range(n)]
-             for i in range(n)]
+    F = gj.frame.F.value.tolist()
+    mixed = gj.mixed.value.tolist()
 
     comp_jets = {}
     for idx in itertools.product(range(n), repeat=rank):

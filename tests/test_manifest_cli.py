@@ -1,13 +1,17 @@
 """Command line surface: verbs, exit codes, output format, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcalc.cli import main, render_json
+from gcalc.cli import EVAL_OPS, main, render_json
 from gcalc.errors import DomainError
 from gcalc.manifest import ManifestError, load_manifest
 
@@ -73,15 +77,82 @@ ORIENTATION_Q = json.dumps({"name": "q", "coordinates": ["u", "v"],
     ["parse", "--coords", "x", "--text", "x" + " + x" * 5000],
     ["eval", "euclid2", "--op", "grad", "--field", "phi: x",
      "--point", "x=1,y=0,x=2"],
+    *(["eval", "euclid2", "--op", "grad", "--field", f"A: {key} = x",
+       "--point", "x=0,y=0"]
+      for key in ("2,1", "1,1", "0", "-1", "a", "1,,2", "1e0")),
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x",
+     "--point", "x=nan,y=0"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: sin(x)",
+     "--point", "x=inf,y=1"],
+    ["connection", "sphere2", "--point", "theta=1,phi=-inf"],
+    ["eval", "euclid2", "--op", "mdd", "--field", "phi: x",
+     "--point", "x=0,y=0", "--dir", "1=nan"],
+    ["eval", "euclid2", "--op", "grad", "--field", "phi: x",
+     "--point", "x=0,y=0", "--dir", "garbage"],
+    ["eval", "euclid2", "--op", "div", "--field", "v: 1 = x",
+     "--point", "x=0,y=0", "--dir", "1=1"],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
         "infinite-exponent", "power-overflow", "orientation", "nesting",
-        "long-chain", "repeated-coordinate"])
+        "long-chain", "repeated-coordinate",
+        "key-descending", "key-repeated", "key-zero", "key-negative",
+        "key-letter", "key-empty-part", "key-exponent",
+        "point-nan", "point-inf", "connection-point-inf", "direction-nan",
+        "dir-with-grad", "dir-with-div"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gcalc: error: ")
+
+
+_VALUES = st.one_of(
+    st.sampled_from(["0", "0.5", "-1.25", "nan", "-inf", "inf", "1e308",
+                     "1e-320", "", "x", "1,2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_KEYS = st.sampled_from(["", "1", "2", "1,2", "2,1", "1,1", "0", "-1", "a",
+                         "1,,2", "1e0", "3", " 1 , 2 "])
+_TEXT = st.one_of(
+    st.text(alphabet="xyr0123456789.e+-*/^() ,", max_size=16),
+    st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs", "tanh"])
+    .flatmap(lambda f: st.text(alphabet="xy0123456789.+-*/^", max_size=8)
+             .map(lambda arg: f"{f}({arg})")))
+
+
+@st.composite
+def _cli_argv(draw):
+    verb = draw(st.sampled_from(["parse", "eval", "connection"]))
+    if verb == "parse":
+        return ["parse", "--coords", draw(st.sampled_from(["x", "x,y", ""])),
+                f"--text={draw(_TEXT)}"]
+    chart, (c1, c2) = draw(st.sampled_from([("euclid2", ("x", "y")),
+                                            ("sphere2", ("theta", "phi"))]))
+    point = f"{c1}={draw(_VALUES)},{c2}={draw(_VALUES)}"
+    if verb == "connection":
+        return ["connection", chart, "--point", point]
+    argv = ["eval", chart, "--op", draw(st.sampled_from(EVAL_OPS)),
+            "--point", point]
+    entries = draw(st.lists(st.tuples(_KEYS, _TEXT), max_size=3))
+    if entries and draw(st.booleans()):
+        body = "; ".join(f"{k} = {e}" for k, e in entries)
+    else:
+        body = draw(_TEXT)
+    argv += ["--field", f"A: {body}"]
+    if draw(st.booleans()):
+        argv += ["--dir", f"{draw(_KEYS)}={draw(_VALUES)}"]
+    return argv
+
+
+@given(_cli_argv())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_fuzzed_argv_exits_zero_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    assert status in (0, 2), (argv, err.getvalue())
 
 
 class TestEval:
@@ -210,8 +281,8 @@ class TestCheck:
             assert row["max_deviation"] <= row["tolerance"]
 
     def test_byte_determinism(self):
-        a = run_cli("check", "--suite", "exterior", "--samples", "2")
-        b = run_cli("check", "--suite", "exterior", "--samples", "2")
+        a = run_cli("check", "--suite", "all", "--samples", "2")
+        b = run_cli("check", "--suite", "all", "--samples", "2")
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -329,6 +400,14 @@ class TestManifestFiles:
                "metric": [["1", "0"], ["0", "1"]],
                "fields": {"A": {"components": {"1,3": "u"}}}}
         with pytest.raises(ManifestError, match="'A'.*exceeds dimension 2"):
+            load_manifest(doc)
+
+    @pytest.mark.parametrize("key", ["2,1", "a", "1,,2"])
+    def test_field_blade_key_malformed(self, key):
+        doc = {"name": "flat", "coordinates": ["u", "v"],
+               "metric": [["1", "0"], ["0", "1"]],
+               "fields": {"A": {"components": {key: "u"}}}}
+        with pytest.raises(ManifestError, match="'A'.*ascending and 1-based"):
             load_manifest(doc)
 
     def test_missing_file_exits_two(self):
