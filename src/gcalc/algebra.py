@@ -75,6 +75,13 @@ class Gram:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def dot_table(self) -> np.ndarray:
+        """The table restricted to the grades of :func:`dot`, read-only."""
+        table = np.where(_contraction_mask(self.n), self.table, 0.0)
+        table.setflags(write=False)
+        return table
+
     def __repr__(self):
         return f"Gram({self.matrix.tolist()!r})"
 
@@ -245,7 +252,7 @@ def dot(A: Multivector, B: Multivector, g) -> Multivector:
     """
     g = as_gram(g)
     _check_pair(A, B, g)
-    return _contract(A, B, np.where(_contraction_mask(A.dim), g.table, 0.0))
+    return _contract(A, B, g.dot_table)
 
 
 def reverse(A: Multivector) -> Multivector:

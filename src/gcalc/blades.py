@@ -25,6 +25,10 @@ same metric-free wedge.  Serialization uses 1-based comma-joined index keys:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .errors import BladeKeyError
 
 
@@ -105,11 +109,52 @@ def substitute(mask: int, pos: int, new_index: int):
     return sign, rest | (1 << new_index)
 
 
-def add_into(dst: dict, src: dict, scale=1.0) -> dict:
+def add_into(dst: dict, src: dict, scale=None) -> dict:
+    """dst += scale * src, blade by blade; no multiplication without a scale.
+
+    Unscaled entries of src are stored, not copied, so no coefficient may
+    be updated in place afterwards.
+    """
     for m, c in src.items():
+        if scale is not None:
+            c = c * scale
         cur = dst.get(m)
-        dst[m] = c * scale if cur is None else cur + c * scale
+        dst[m] = c if cur is None else cur + c
     return dst
+
+
+@lru_cache(maxsize=8)
+def blade_tensors(n: int) -> tuple:
+    """The derivation lift and the interior and exterior products of frame
+    vectors with blades, as signed gather tables (src, sign), built once per
+    dimension on first use, read-only.  Table T maps a blade array x to
+
+        (T_k x)[a] = sign[k, a] * x[src[k, a]],
+
+    with sign 0 where e_a is not in the image, so it has one entry per
+    output blade and index k:
+
+    lift[j, l]   the derivation that extends e_j -> e_l to blades, replacing
+                 e_j by e_l with the resorting sign (:func:`substitute`),
+                 which is wedge[l] after interior[j]; shape (n, n, 2^n);
+    interior[i]  e^i . x with e^i . e_j = delta^i_j, which drops index i,
+                 signed by the number of indices below it; shape (n, 2^n);
+    wedge[l]     e_l ^ x (:func:`wedge_blades`); shape (n, 2^n).
+    """
+    masks = np.arange(1 << n)
+    bits = (1 << np.arange(n))[:, None]
+    has = (masks & bits) != 0
+    # sign[k, a]: -1 when an odd number of the indices of a lie below k
+    sign = np.where((np.cumsum(has, axis=0) - has) & 1, -1.0, 1.0)
+    interior = (masks | bits, np.where(has, 0.0, sign))
+    wedge = (masks ^ bits, np.where(has, sign, 0.0))
+    # lift[j, l] reads interior[j] at the rows wedge[l] reads
+    lift = (interior[0][:, wedge[0]], interior[1][:, wedge[0]] * wedge[1])
+    tables = (lift, interior, wedge)
+    for table in tables:
+        for t in table:
+            t.setflags(write=False)
+    return tables
 
 
 def prune(mv: dict, tol: float = 0.0) -> dict:

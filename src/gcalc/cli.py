@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -325,7 +326,10 @@ def cmd_parse(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process: its help text names only
+    the builtin charts and the suites, which are fixed."""
     parser = argparse.ArgumentParser(
         prog="gcalc",
         description="Multivector calculus on charts: derivative operators, "

@@ -265,7 +265,7 @@ _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4,
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

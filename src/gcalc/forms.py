@@ -19,7 +19,8 @@ from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import value_of
 from .manifold import Chart, frame_jets
-from .mdd import DerivedField, field_jets, reexpress_field
+from .mdd import (DerivedField, field_jets, from_blade_map, reexpress_field,
+                  to_blade_map)
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ def hat_map(chart: Chart, field):
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        return bl.prune(bl.outermorphism(fj.g_coord,
-                                         field_jets(field, point, order)))
+        return bl.outermorphism(fj.g_coord,
+                                to_blade_map(field_jets(field, point, order)))
 
     # mixed-grade fields are transferred grade by grade; degree is only
     # meaningful when the input is pure, so record the top populated grade
@@ -152,7 +153,8 @@ def unhat(chart: Chart, form) -> DerivedField:
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        return bl.prune(bl.outermorphism(fj.gram_inv,
-                                         form_jets(form, point, order)))
+        return from_blade_map(bl.outermorphism(fj.gram_inv,
+                                               form_jets(form, point, order)),
+                              chart.n, order)
 
     return DerivedField("coord", form.budget, fn)

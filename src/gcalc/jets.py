@@ -18,9 +18,10 @@ chain rule for a smooth f applied to a jet u,
 
 are the arithmetic operators and :func:`apply_function`.  Jets of every
 shape add, subtract, scale by numbers and transpose.  Array jets carry the
-frame and connection layers: :func:`contract` is the product rule of an
-einsum contraction, one einsum per Taylor term, and :func:`mat_det_inv`
-gives the determinant and inverse of a matrix jet in closed form,
+frame, connection and operator layers: :func:`contract` is the product rule
+of an einsum contraction, one einsum per Taylor term, and
+:func:`mat_det_inv` gives the determinant and inverse of a matrix jet in
+closed form,
 
     d(G^-1) = -G^-1 dG G^-1,    d(det G) = det G tr(G^-1 dG),
 
@@ -102,6 +103,11 @@ class Jet:
         if self.grad is None:
             raise DomainError("cannot differentiate an order-0 jet")
         return Jet(self.grad, self.hess)
+
+    def take(self, index) -> "Jet":
+        """The jet at ``index`` of the first value axis, as numpy indexes it
+        (an int drops the axis, a list of ints keeps it)."""
+        return Jet(*(c[index] for c in self.coeffs))
 
     def transpose(self, *axes) -> "Jet":
         """Permute the value axes; the derivative axes stay last."""

@@ -59,6 +59,30 @@ def _check_metric_symmetry(chart: Chart) -> None:
                         f"metric entry ({i + 1},{j + 1}) is not symmetric at {p}")
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a number"}
+
+
+def _expect(value, kinds, what: str):
+    """``value`` if it has one of the JSON ``kinds`` (dict, list, str, int,
+    float), else a ManifestError.  float admits integers; booleans are
+    neither."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, bool) or not any(
+            isinstance(value, (int, float) if k is float else k) for k in kinds):
+        raise ManifestError(f"{what} must be "
+                            + " or ".join(_KINDS[k] for k in kinds)
+                            + f", got {value!r}")
+    return value
+
+
+def _matrix(rows, what: str) -> list:
+    """Rows of expression entries, text or numbers."""
+    return [[_expect(e, (str, float), f"{what} entry")
+             for e in _expect(row, list, f"{what} row")]
+            for row in _expect(rows, list, what)]
+
+
 def load_manifest(doc) -> Bundle:
     """Build a chart bundle from a manifest document (dict, JSON text, or path)."""
     if isinstance(doc, str):
@@ -70,50 +94,56 @@ def load_manifest(doc) -> Bundle:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError("manifest must be a JSON object")
+    doc = _expect(doc, dict, "manifest")
 
     try:
-        name = doc["name"]
-        coords = list(doc["coordinates"])
-        metric = doc["metric"]
+        name = _expect(doc["name"], str, "name")
+        coords = [_expect(c, str, "coordinate")
+                  for c in _expect(doc["coordinates"], list, "coordinates")]
+        metric = _matrix(doc["metric"], "metric")
     except KeyError as exc:
         raise ManifestError(f"manifest missing required key {exc.args[0]!r}") from None
     if not coords or len(set(coords)) != len(coords):
         raise ManifestError("coordinates must be nonempty and distinct")
 
-    frames = {}
-    for fname, rows in doc.get("frames", {}).items():
-        frames[fname] = rows
+    frames = {fname: rows if rows == "identity" else _matrix(rows, f"frame {fname!r}")
+              for fname, rows in _expect(doc.get("frames", {}), dict, "frames").items()}
     contorsion = []
-    for entry in doc.get("contorsion", []):
+    for entry in _expect(doc.get("contorsion", []), list, "contorsion"):
         try:
-            contorsion.append((entry["i"], entry["j"], entry["k"], entry["expr"]))
+            contorsion.append(tuple(_expect(entry[k], int, f"contorsion {k}")
+                                    for k in "ijk")
+                              + (_expect(entry["expr"], (str, float), "contorsion expr"),))
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"bad contorsion entry {entry!r}") from exc
-    try:
-        orientation = int(doc.get("orientation", 1))
-    except (TypeError, ValueError):
-        raise ManifestError(f"orientation must be +1 or -1, got "
-                            f"{doc['orientation']!r}") from None
-    domain = [tuple(b) for b in doc.get("domain", [])]
-    if domain and len(domain) != len(coords):
+    orientation = _expect(doc.get("orientation", 1), float, "orientation")
+    if orientation not in (1, -1):
+        raise ManifestError(f"orientation must be +1 or -1, got {orientation!r}")
+    domain = [tuple(_expect(v, float, "domain bound")
+                    for v in _expect(b, list, "domain entry"))
+              for b in _expect(doc.get("domain", []), list, "domain")]
+    if domain and (len(domain) != len(coords) or {len(b) for b in domain} != {2}):
         raise ManifestError("domain must list one (lo, hi) pair per coordinate")
+    if not all(math.isfinite(v) for b in domain for v in b):
+        raise ManifestError("domain bounds must be finite")
 
     try:
         chart = Chart(name=name, coords=tuple(coords), metric=metric,
                       frames=frames, contorsion=tuple(contorsion),
-                      orientation=orientation, domain=tuple(domain))
+                      orientation=int(orientation), domain=tuple(domain))
     except (ParseError, DimMismatch, ValueError) as exc:
         raise ManifestError(f"bad chart definition: {exc}") from exc
     _check_metric_symmetry(chart)
 
     fields = {}
-    for fld_name, spec in doc.get("fields", {}).items():
-        frame = spec.get("frame", "coord")
+    for fld_name, spec in _expect(doc.get("fields", {}), dict, "fields").items():
+        spec = _expect(spec, dict, f"field {fld_name!r}")
+        frame = _expect(spec.get("frame", "coord"), str, f"field {fld_name!r} frame")
         if frame not in chart.frames:
             raise ManifestError(f"field {fld_name!r} references unknown frame {frame!r}")
-        comps = spec.get("components", {})
+        comps = _expect(spec.get("components", {}), dict, f"field {fld_name!r} components")
+        for e in comps.values():
+            _expect(e, (str, float), f"field {fld_name!r} component")
         try:
             fields[fld_name] = MultivectorField.parse(chart, comps, frame)
         except (ParseError, DimMismatch, BladeKeyError) as exc:

@@ -1,47 +1,54 @@
 """Multivector directional derivatives and the operators built from them.
 
-The derivative along a frame vector acts on a field A = A^J e_J by the
-product rule: differentiate each scalar component, then replace one frame
-vector of each blade at a time with its derivative,
+At a point a field is one array jet of shape (2^n,) indexed by blade mask,
+with zero rows for the blades it lacks.  The derivative along a frame
+vector differentiates the components, then lets the connection act on each
+blade as a derivation,
 
-    D_{e_i} e_J = sum_m  e_{j_1} ^ ... ^ (Gamma_{i j_m k} g^{kl} e_l) ^ ... ^ e_{j_k},
+    D_{e_i} e_J = sum_m  e_{j_1} ^ ... ^ (Gamma_{i j_m}^l e_l) ^ ... ^ e_{j_k},
 
-which keeps grades intact blade by blade.  Derived operators contract the
-directional derivative with the reciprocal frame:
+with Gamma_{ij}^l = Gamma_{ijk} g^{kl}.  On bitmask blades that derivation
+is a constant linear map, Lambda[j, l] lifting e_j -> e_l to blades, so all
+n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  Derived
+operators contract D with the reciprocal frame:
 
     gradient   e^i D_{e_i} A  = divergence + curl
-    divergence e^i . D_{e_i} A
-    curl       e^i ^ D_{e_i} A
+    divergence e^i . D_{e_i} A = sum_i iota_i D[i]
+    curl       e^i ^ D_{e_i} A = sum_{i,l} g^{il} eps_l D[i]
 
-Since e^i . e_j = delta^i_j, the divergence needs no metric: e^i . e_J
-removes index i from the blade, with the sign of moving e_i to its front.
-The curl wedges the row g^{il} e_l of the inverse frame Gram into each
-blade.  Pointwise products of fields (the dual, ``product_field``) use the
-jet-valued grade recursion :func:`gcalc.blades.gp_generic`.
+Since e^i . e_j = delta^i_j, the divergence needs no metric: iota_i drops
+index i from a blade, signed by moving e_i to its front, and eps_l wedges
+e_l onto it; Lambda[j, l] is eps_l after iota_j.  These are the derivation
+and outermorphism machinery of Hestenes & Sobczyk (1984) and Dorst,
+Fontijne & Mann (2007) on bitmask blades.  :func:`gcalc.blades.blade_tensors`
+holds them as signed gather tables, one entry per output blade and index,
+and the sums over frame indices are ``jets.contract`` calls.  The work
+grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
+coordinates.  Pointwise products (the dual, ``product_field``) and changes
+of frame (:func:`gcalc.blades.outermorphism`) work on blade maps,
+converting at their boundary with :func:`to_blade_map` and
+:func:`from_blade_map`.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
-cross-checking.
-
-Every operator returns a field whose components can themselves be evaluated
-as jets, so operators stack; a jet-depth budget (2 on primitive fields, one
-less per operator) bounds the stacking depth.  An operator evaluates its
-operand once per point and derives all n directional parts from that one
-evaluation, so a stack of k operators evaluates its primitive field k times.
-Changes of frame act on blade components by the outermorphism
-(:func:`gcalc.blades.outermorphism`).
+cross-checking.  Operators return fields, so they stack; a jet-depth budget
+(2 on primitive fields, one less per operator) bounds the stacking depth.
+An operator evaluates its operand once per point for all n directions, so a
+stack of k operators evaluates its primitive field k times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import blades as bl
 from . import expr as ex
 from .algebra import Multivector
 from .connection import ConnectionAt, ConnSpec, gamma_jets, levi_civita
-from .errors import FrameMismatch, JetBudgetExhausted
-from .jets import apply_function, contract, mat_det_inv, value_of
+from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
+from .jets import Jet, apply_function, contract, mat_det_inv, value_of
 from .manifold import Chart, MultivectorField, frame_jets
 
 
@@ -53,8 +60,9 @@ def _as_spec(conn) -> ConnSpec:
 class DerivedField:
     """Field whose components at a point are computed by a closure.
 
-    ``fn(point, order)`` returns a map from blade mask to jets of the given
-    order; ``budget`` is the remaining jet depth.
+    ``fn(point, order)`` returns them as one jet of shape (2^n,) and the
+    given order, indexed by blade mask (:func:`from_blade_map` builds one
+    from a blade map); ``budget`` is the remaining jet depth.
     """
 
     frame: str
@@ -62,25 +70,57 @@ class DerivedField:
     fn: object
 
 
-def field_jets(field, point, order: int) -> dict:
-    """Blade-component jets of a field at a point."""
+def from_blade_map(comps: dict, n: int, order: int) -> Jet:
+    """The (2^n,) jet of a map from blade mask to scalar jet or number.
+
+    Numbers are constants and absent masks are zero rows.  The order is
+    ``order``, or the lowest order among the jets if that is less.
+    """
+    order = min([order] + [c.order for c in comps.values() if isinstance(c, Jet)])
+    coeffs = [np.zeros((1 << n,) + (n,) * k) for k in range(order + 1)]
+    for mask, c in comps.items():
+        for rows, part in zip(coeffs, c.coeffs if isinstance(c, Jet) else (c,)):
+            rows[mask] = part
+    return Jet(*coeffs)
+
+
+def to_blade_map(jet: Jet) -> dict:
+    """The blade map of scalar jets of a (2^n,) jet, without the rows that
+    are zero in every Taylor coefficient."""
+    live = np.zeros(len(jet.value), dtype=bool)
+    for c in jet.coeffs:
+        live |= c.reshape(len(c), -1).any(axis=1)
+    return {int(m): jet.take(m) for m in np.flatnonzero(live)}
+
+
+def field_jets(field, point, order: int) -> Jet:
+    """Blade components of a field at a point, as one (2^n,) jet."""
     if order > field.budget:
         raise JetBudgetExhausted(
             f"field supports jets to order {field.budget}, requested {order}")
     if isinstance(field, MultivectorField):
-        return {mask: ex.eval_jet(e, point, order)
-                for mask, e in field.components.items()}
+        return from_blade_map({mask: ex.eval_jet(e, point, order)
+                               for mask, e in field.components.items()},
+                              len(point), order)
     return field.fn(point, order)
 
 
 def eval_field(field, point) -> Multivector:
     """Field value at a point as a multivector."""
     point = tuple(float(p) for p in point)
-    comps = field_jets(field, point, 0)
-    return Multivector(len(point), {m: value_of(c) for m, c in comps.items()})
+    values = field_jets(field, point, 0).value
+    return Multivector(len(point), dict(enumerate(values.tolist())))
+
+
+# The blade axis is dense, so an operator's work and memory grow as n^4 2^n;
+# larger charts are refused rather than left to run out of memory.
+MAX_DIM = 12
 
 
 def _check_operand(spec: ConnSpec, field) -> None:
+    if spec.n > MAX_DIM:
+        raise DimMismatch(f"derivative operators support charts of at most "
+                          f"{MAX_DIM} coordinates, this one has {spec.n}")
     if field.frame != spec.frame:
         raise FrameMismatch(
             f"field is expressed in frame {field.frame!r} but the connection "
@@ -89,42 +129,40 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise JetBudgetExhausted("field has no derivative budget left")
 
 
-def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> list:
-    """Components of D_{e_i} field as jets of the given order, one map for
-    each direction i in ``dirs``.
+def _apply_blades(table, x: Jet, summed: bool) -> Jet:
+    """A table of :func:`gcalc.blades.blade_tensors` applied to the blade
+    axis, the last value axis, of x: x[..., b] becomes T_k x[..., :] on
+    value axes (..., k, a), k one index or two, or with ``summed`` and one
+    index x[..., k, b] becomes sum_k T_k x[..., k, :] on value axes (..., a)."""
+    src, sign = table
+    v = x.value.ndim
+    if summed:
+        index = (slice(None),) * (v - 2) + (np.arange(len(src))[:, None], src)
+    else:
+        index = (slice(None),) * (v - 1) + (src,)
+    out = []
+    for c in x.coeffs:
+        term = c[index] * sign.reshape(sign.shape + (1,) * (c.ndim - v))
+        out.append(term.sum(axis=v - 2) if summed else term)
+    return Jet(*out)
 
-    The operand is evaluated once, and its partials and the blade
-    substitutions are found once, for all the directions.
+
+def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
+    """D_{e_i} field for each direction i in ``dirs``: a jet of shape
+    (len(dirs), 2^n) and the given order.
+
+    The operand is evaluated once for all the directions.
     """
-    n = spec.n
     gj = gamma_jets(spec, point, order)
-    F = gj.frame.F.entries()
-    mixed = gj.mixed.entries()
-    blades = []
-    for mask, cj in field_jets(field, point, order + 1).items():
-        subs = []
-        for pos, jm in enumerate(bl.indices_of(mask)):
-            targets = [(l, res) for l in range(n)
-                       if (res := bl.substitute(mask, pos, l)) is not None]
-            subs.append((jm, targets))
-        blades.append((mask, cj, [cj.partial(k) for k in range(n)], subs))
-    outs = []
-    for i in dirs:
-        out: dict = {}
-        for mask, cj, partials, subs in blades:
-            d = 0.0
-            for k in range(n):
-                d = d + F[i][k] * partials[k]
-            bl.add_into(out, {mask: d})
-            for jm, targets in subs:
-                row = mixed[i][jm]
-                for l, (sign, new_mask) in targets:
-                    term = cj * row[l]
-                    if sign < 0:
-                        term = -term
-                    bl.add_into(out, {new_mask: term})
-        outs.append(bl.prune(out))
-    return outs
+    dirs = list(dirs)
+    F, mixed = gj.frame.F, gj.mixed
+    if dirs != list(range(spec.n)):
+        F, mixed = F.take(dirs), mixed.take(dirs)
+    A = field_jets(field, point, order + 1)
+    # Lambda[j, l] A for every e_j -> e_l, at the order of the result
+    lifted = _apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
+                           summed=False)
+    return contract("ik,ak->ia", F, A.partials()) + contract("ijl,jla->ia", mixed, lifted)
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
@@ -135,7 +173,7 @@ def mdd_along_basis(spec, i: int, field) -> DerivedField:
         raise FrameMismatch(f"basis direction {i} out of range for n={spec.n}")
 
     def fn(point, order):
-        return _mdd_basis_jets(spec, (i,), field, point, order)[0]
+        return _mdd_basis_jets(spec, (i,), field, point, order).take(0)
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 
@@ -149,20 +187,11 @@ def mdd(spec, a, field, point) -> Multivector:
     if len(a) != n:
         raise FrameMismatch(f"direction must have {n} frame components")
     dirs = [i for i in range(n) if float(a[i]) != 0.0]
-    out: dict = {}
-    if dirs:
-        for i, di in zip(dirs, _mdd_basis_jets(spec, dirs, field, point, 0)):
-            bl.add_into(out, di, float(a[i]))
-    return Multivector(n, {m: value_of(c) for m, c in out.items()})
-
-
-def _interior(i: int, mv: dict) -> dict:
-    """e^i . mv: drop index i from each blade holding it, signed by the
-    number of indices below it (e^i . e_j = delta^i_j)."""
-    bit = 1 << i
-    below = bit - 1
-    return {m ^ bit: -c if (m & below).bit_count() & 1 else c
-            for m, c in mv.items() if m & bit}
+    if not dirs:
+        return Multivector(n, {})
+    weights = np.array([float(a[i]) for i in dirs])
+    values = weights @ _mdd_basis_jets(spec, dirs, field, point, 0).value
+    return Multivector(n, dict(enumerate(values.tolist())))
 
 
 def _contract_field(spec, field, combine: str) -> DerivedField:
@@ -172,18 +201,16 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
     n = spec.n
 
     def fn(point, order):
-        ginv = gamma_jets(spec, point, order).frame.gram_inv.entries()
-        out: dict = {}
-        for i, di in enumerate(_mdd_basis_jets(spec, range(n), field,
-                                               point, order)):
-            if not di:
-                continue
-            if combine != "wedge":
-                bl.add_into(out, _interior(i, di))
-            if combine != "dot":
-                recip = {1 << l: ginv[i][l] for l in range(n)}
-                bl.add_into(out, bl.wedge_generic(recip, di))
-        return bl.prune(out)
+        D = _mdd_basis_jets(spec, range(n), field, point, order)
+        _, interior, wedge = bl.blade_tensors(n)
+        if combine != "dot":
+            # e^i ^ D_i = e_l ^ D^l, with D^l = g^{li} D_i the derivative along e^l
+            ginv = gamma_jets(spec, point, order).frame.gram_inv
+            curl = _apply_blades(wedge, contract("il,ia->la", ginv, D), summed=True)
+            if combine == "wedge":
+                return curl
+        div = _apply_blades(interior, D, summed=True)
+        return div if combine == "dot" else div + curl
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 
@@ -234,7 +261,7 @@ def unit_pseudoscalar_field(chart: Chart, frame: str) -> DerivedField:
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
         norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
-        return {top: float(chart.orientation) / norm}
+        return from_blade_map({top: float(chart.orientation) / norm}, n, order)
 
     return DerivedField(frame, 2, fn)
 
@@ -251,11 +278,11 @@ def dual_field(chart: Chart, frame: str, field) -> DerivedField:
 
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
-        comps = field_jets(field, point, order)
+        comps = to_blade_map(field_jets(field, point, order))
         norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
         s = _pseudoscalar_square_sign(n, fj.det_gram)
         inv = {top: (float(chart.orientation) * s) / norm}
-        return bl.prune(bl.gp_generic(comps, inv, fj.gram, n))
+        return from_blade_map(bl.gp_generic(comps, inv, fj.gram, n), n, order)
 
     return DerivedField(frame, field.budget, fn)
 
@@ -295,9 +322,9 @@ def second_ops(spec, field, point, a=None) -> dict:
     dd = {}
     for j in range(n):
         dj = mdd_along_basis(spec, j, field)
-        for i, comps in enumerate(_mdd_basis_jets(spec, range(n), dj,
-                                                  point, 0)):
-            dd[i, j] = {m: value_of(c) for m, c in comps.items()}
+        rows = _mdd_basis_jets(spec, range(n), dj, point, 0).value.tolist()
+        for i, comps in enumerate(rows):
+            dd[i, j] = {m: c for m, c in enumerate(comps) if c != 0.0}
 
     dot_dot: dict = {}
     wedge_wedge: dict = {}
@@ -326,8 +353,7 @@ def add_fields(a, b) -> DerivedField:
         raise FrameMismatch("cannot add fields over different frames")
 
     def fn(point, order):
-        out = dict(field_jets(a, point, order))
-        return bl.add_into(out, field_jets(b, point, order))
+        return field_jets(a, point, order) + field_jets(b, point, order)
 
     return DerivedField(a.frame, min(a.budget, b.budget), fn)
 
@@ -340,13 +366,15 @@ def product_field(chart: Chart, frame: str, a, b, combine: str = "gp") -> Derive
 
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
-        ca = field_jets(a, point, order)
-        cb = field_jets(b, point, order)
+        ca = to_blade_map(field_jets(a, point, order))
+        cb = to_blade_map(field_jets(b, point, order))
         if combine == "gp":
-            return bl.prune(bl.gp_generic(ca, cb, fj.gram, n))
-        if combine == "dot":
-            return bl.prune(bl.dot_generic(ca, cb, fj.gram, n))
-        return bl.prune(bl.wedge_generic(ca, cb))
+            out = bl.gp_generic(ca, cb, fj.gram, n)
+        elif combine == "dot":
+            out = bl.dot_generic(ca, cb, fj.gram, n)
+        else:
+            out = bl.wedge_generic(ca, cb)
+        return from_blade_map(out, n, order)
 
     return DerivedField(frame, min(a.budget, b.budget), fn)
 
@@ -355,7 +383,8 @@ def grade_field(field, k: int) -> DerivedField:
     """Grade-k part of a field."""
 
     def fn(point, order):
-        return bl.grade_select(field_jets(field, point, order), k)
+        comps = to_blade_map(field_jets(field, point, order))
+        return from_blade_map(bl.grade_select(comps, k), len(point), order)
 
     return DerivedField(field.frame, field.budget, fn)
 
@@ -375,7 +404,8 @@ def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> Deri
         # rows of M: source frame vectors in destination-frame components,
         # e_i(src) = M[i][j] e_j(dst) with M = F_src F_dst^{-1}
         M = contract("ik,kj->ij", src.F, mat_det_inv(dst.F)[1])
-        return bl.outermorphism(M, field_jets(field, point, order))
+        comps = to_blade_map(field_jets(field, point, order))
+        return from_blade_map(bl.outermorphism(M, comps), chart.n, order)
 
     return DerivedField(dst_frame, field.budget, fn)
 

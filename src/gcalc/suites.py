@@ -1056,7 +1056,7 @@ def _chk_tensor_contraction_commutes(rng, samples):
                                      order)
                     term = fj.gram_inv[i][j] * cj
                     tot = term if tot is None else tot + term
-            return {0: tot}
+            return md.from_blade_map({0: tot}, n, order)
 
         rhs = md.mdd(spec, a, DerivedField("coord", 2, tbar_fn), point)[0]
         dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))

@@ -32,9 +32,9 @@ from .algebra import Multivector
 from .connection import ConnSpec
 from .errors import (FrameMismatch, GradeMismatch, MixedGrade,
                      NonScalarOutput, SignatureMismatch, SlotGradeError)
-from .jets import value_of
 from .manifold import Chart, FrameAt, MultivectorField, eval_frame, frame_jets
-from .mdd import DerivedField, field_jets, mdd
+from .mdd import (DerivedField, eval_field, field_jets, from_blade_map, mdd,
+                  to_blade_map)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
 
     def fn(point, order):
         fj = frame_jets(T.chart, T.frame, point, order)
-        jets = [field_jets(f, point, order) for f in arg_fields]
+        jets = [to_blade_map(field_jets(f, point, order)) for f in arg_fields]
         for comps, k in zip(jets, sig.inputs):
             for mask in comps:
                 if bl.grade_of(mask) != k:
@@ -152,7 +152,8 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
                 continue
             cur = out_coeff.get(key[-1])
             out_coeff[key[-1]] = prod if cur is None else cur + prod
-        return bl.prune(bl.outermorphism(fj.gram_inv, out_coeff))
+        return from_blade_map(bl.outermorphism(fj.gram_inv, out_coeff), T.n,
+                              order)
 
     return DerivedField(T.frame, budget, fn)
 
@@ -223,14 +224,10 @@ def tensor_derivative_chain(spec: ConnSpec, T: TensorField, a, arg_fields,
     total = mdd(spec, a, out_field, point)
     for s, f in enumerate(arg_fields):
         da = mdd(spec, a, f, point)
-        args = [da if r == s else Multivector(T.n, field_values(g, point))
+        args = [da if r == s else eval_field(g, point)
                 for r, g in enumerate(arg_fields)]
         total = total - tensor_eval(T, args, point)
     return total
-
-
-def field_values(f, point) -> dict:
-    return {m: value_of(c) for m, c in field_jets(f, tuple(point), 0).items()}
 
 
 def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.ndarray:

@@ -223,8 +223,7 @@ class TestGeometricProduct:
 
     def test_gram_is_read_only(self):
         g = Gram([[1.0, 0.5], [0.5, -1.0]])
-        g.table
-        for arr in (g.matrix, g.inverse, g.table):
+        for arr in (g.matrix, g.inverse, g.table, g.dot_table):
             with pytest.raises(ValueError):
                 arr[0, 0] = 2.0
 

@@ -12,7 +12,8 @@ from gcalc.connection import (conn_spec, connection_at, contorsion_apply,
 from gcalc.errors import InvalidContorsion
 from gcalc.manifest import builtin
 from gcalc.manifold import Chart, MultivectorField, eval_frame
-from gcalc.mdd import DerivedField, eval_field, mdd, mdd_along_basis
+from gcalc.mdd import (DerivedField, eval_field, from_blade_map, mdd,
+                       mdd_along_basis)
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -211,7 +212,8 @@ class TestDerivedCoefficients:
         for j in range(n):
             def recip_fn(p, order, j=j):
                 fj = frame_jets(chart, frame, p, order)
-                return {1 << l: fj.gram_inv[j][l] for l in range(n)}
+                return from_blade_map({1 << l: fj.gram_inv[j][l]
+                                       for l in range(n)}, n, order)
 
             recip_field = DerivedField(frame, 2, recip_fn)
             for i in range(n):

@@ -60,6 +60,25 @@ ORIENTATION_Q = json.dumps({"name": "q", "coordinates": ["u", "v"],
                             "orientation": "q"})
 
 
+def _line_doc(**extra):
+    """A one-coordinate manifest text with ``extra`` entries."""
+    return json.dumps({"name": "m", "coordinates": ["x"], "metric": [["1"]],
+                       **extra})
+
+
+_MALFORMED = {"frames-list": {"frames": [1]},
+              "field-number": {"fields": {"f": 1}},
+              "components-list": {"fields": {"f": {"components": [1]}}},
+              "domain-number": {"domain": [1]},
+              "orientation-overflow": {"orientation": 1e400},
+              "orientation-bool": {"orientation": True}}
+
+# one coordinate more than the derivative operators accept
+_WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(13)],
+                        "metric": [["1" if i == j else "0" for j in range(13)]
+                                   for i in range(13)]})
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "euclid2", "--op", "grad", "--field", "A: 3 = x",
      "--point", "x=0,y=0"],
@@ -91,13 +110,17 @@ ORIENTATION_Q = json.dumps({"name": "q", "coordinates": ["u", "v"],
      "--point", "x=0,y=0", "--dir", "garbage"],
     ["eval", "euclid2", "--op", "div", "--field", "v: 1 = x",
      "--point", "x=0,y=0", "--dir", "1=1"],
+    *(["eval", _line_doc(**extra), "--op", "grad", "--field", "p: x",
+       "--point", "x=0.5"] for extra in _MALFORMED.values()),
+    ["eval", _WIDE_DOC, "--op", "grad", "--field", "p: x0",
+     "--point", ",".join(f"x{i}=0.5" for i in range(13))],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
         "infinite-exponent", "power-overflow", "orientation", "nesting",
         "long-chain", "repeated-coordinate",
         "key-descending", "key-repeated", "key-zero", "key-negative",
         "key-letter", "key-empty-part", "key-exponent",
         "point-nan", "point-inf", "connection-point-inf", "direction-nan",
-        "dir-with-grad", "dir-with-div"])
+        "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -153,6 +176,59 @@ def test_fuzzed_argv_exits_zero_or_two(argv):
         except SystemExit as exc:  # argparse usage errors
             status = exc.code
     assert status in (0, 2), (argv, err.getvalue())
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.floats(allow_nan=True, allow_infinity=True),
+              st.sampled_from(["x", "1", "x^2", "", "identity", "coord"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["1", "1,2", "i", "j", "k", "expr",
+                                         "frame", "components"]),
+                        inner, max_size=3)),
+    max_leaves=6)
+_GOOD_DOC = {"name": "m", "coordinates": ["x", "y"],
+             "metric": [["1", "0"], ["0", "1"]],
+             "frames": {"f": [["1", "0"], ["0", "1"]]},
+             "fields": {"p": {"components": {"": "x"}}},
+             "domain": [[0, 1], [0, 1]], "orientation": 1,
+             "contorsion": [{"i": 1, "j": 1, "k": 2, "expr": "x"},
+                            {"i": 1, "j": 2, "k": 1, "expr": "-x"}]}
+
+
+@st.composite
+def _manifest_argv(draw):
+    """An eval request on an inline manifest with one or two of its entries,
+    or an item inside one, replaced by arbitrary JSON."""
+    doc = dict(_GOOD_DOC)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), min_size=1,
+                             max_size=2, unique=True)):
+        entry = doc[key]
+        if isinstance(entry, (dict, list)) and draw(st.booleans()):
+            entry = type(entry)(entry)
+            slot = draw(st.sampled_from(sorted(entry) if isinstance(entry, dict)
+                                        else range(len(entry))))
+            entry[slot] = draw(_JSON)
+            doc[key] = entry
+        else:
+            doc[key] = draw(_JSON)
+    return ["eval", json.dumps(doc), "--op",
+            draw(st.sampled_from(["grad", "div", "curl"])),
+            "--field", draw(st.sampled_from(["p", "q: x*y", "A: 1 = x"])),
+            "--point", "x=0.5,y=0.25"]
+
+
+@given(_manifest_argv())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_fuzzed_manifest_exits_zero_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 2), (argv, err.getvalue())
+    if status == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gcalc: error: ")
 
 
 class TestEval:
@@ -297,6 +373,18 @@ class TestCheck:
     def test_unknown_suite_rejected(self):
         proc = run_cli("check", "--suite", "bogus")
         assert proc.returncode == 2
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        """The parser is built once per process; a usage error must leave
+        it fit for the next call."""
+        argv = ["eval", "sphere2", "--op", "curl", "--field", "A: 1 = phi",
+                "--point", "theta=0.5,phi=0.25"]
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "sphere2", "--op", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
 
     def test_takes_no_manifest(self):
         with pytest.raises(SystemExit) as exc:

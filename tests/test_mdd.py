@@ -15,9 +15,10 @@ from gcalc.manifold import (Chart, MultivectorField, dirderiv_scalar,
 from gcalc.mdd import (DerivedField, add_fields, codifferential,
                        codifferential_via_dual, curl, curl_field, divergence,
                        divergence_field, dual_field, eval_field, ext_d,
-                       ext_d_field, field_jets, grade_field, gradient,
-                       gradient_field, mdd, mdd_along_basis, product_field,
-                       reexpress_field, second_ops, unit_pseudoscalar_field)
+                       ext_d_field, field_jets, from_blade_map, grade_field,
+                       gradient, gradient_field, mdd, mdd_along_basis,
+                       product_field, reexpress_field, second_ops,
+                       to_blade_map, unit_pseudoscalar_field)
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -166,7 +167,8 @@ def _gram_route(spec, field, combine):
         fj = frame_jets(spec.chart, spec.frame, point, order)
         out: dict = {}
         for i in range(n):
-            di = field_jets(mdd_along_basis(spec, i, field), point, order)
+            di = to_blade_map(
+                field_jets(mdd_along_basis(spec, i, field), point, order))
             recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
             if combine == "gp":
                 part = bl.gp_generic(recip, di, fj.gram, n)
@@ -175,7 +177,7 @@ def _gram_route(spec, field, combine):
             else:
                 part = bl.wedge_generic(recip, di)
             bl.add_into(out, part)
-        return out
+        return from_blade_map(out, n, order)
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 

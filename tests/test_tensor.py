@@ -14,7 +14,7 @@ from gcalc.errors import (GradeMismatch, MixedGrade, NonScalarOutput,
                           SignatureMismatch, SlotGradeError)
 from gcalc.manifest import builtin
 from gcalc.manifold import MultivectorField, eval_frame, frame_jets
-from gcalc.mdd import DerivedField, mdd
+from gcalc.mdd import DerivedField, from_blade_map, mdd
 from gcalc.tensor import (TensorField, TensorSignature, change_of_frame_matrix,
                           conjugate_derivative_check, contorsion_tensor,
                           contract, metric_tensor_field, tensor_add,
@@ -282,7 +282,7 @@ class TestDerivative:
                     cj = ex.eval_jet(T.components[(1 << i, 1 << j, 0)], p, order)
                     term = fj.gram_inv[i][j] * cj
                     tot = term if tot is None else tot + term
-            return {0: tot}
+            return from_blade_map({0: tot}, 2, order)
 
         rhs = mdd(spec, a, DerivedField("coord", 2, tbar_fn), point)[0]
         assert lhs == pytest.approx(rhs, abs=1e-9)
