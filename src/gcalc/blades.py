@@ -1,11 +1,12 @@
 """Bitmask blade arithmetic and the definition of the geometric product.
 
 A basis blade over n frame vectors is a bitmask: bit i set means frame vector
-i+1 participates, indices ascending.  A multivector is a dict mapping masks to
-coefficients.  Coefficients may be floats, :class:`gcalc.jets.Jet` objects,
-expression trees or numpy arrays; every routine here is written against plain
-ring arithmetic so the same code serves numeric, jet-valued and symbolic
-evaluation.
+i+1 participates, indices ascending.  A multivector is a blade map, a dict
+from masks to coefficients, or a blade axis, the last axis (length 2^n,
+indexed by mask) of an array jet.  Blade-map coefficients may be floats,
+:class:`gcalc.jets.Jet` objects, expression trees or numpy arrays; the
+product routines are written against plain ring arithmetic so the same code
+serves numeric, jet-valued and symbolic evaluation.
 
 The geometric product for an arbitrary (symmetric, possibly indefinite) Gram
 matrix is defined here, once, by grade recursion on the left factor,
@@ -17,10 +18,10 @@ vector into a blade and the metric-free wedge.  :func:`blade_products` is
 that recursion and :func:`gp_generic` sums its output; the float products in
 :mod:`gcalc.algebra` contract with a structure-constant table filled by it.
 
-A change of basis acts on blades as the outermorphism of the vector map,
-f(e_J) = f(e_{j1}) ^ ... ^ f(e_{jk}) (:func:`outermorphism`), built from the
-same metric-free wedge.  Serialization uses 1-based comma-joined index keys:
-"" for the scalar slot, "1", "1,3", ...
+A change of basis acts on a blade axis as the outermorphism of the vector
+map, f(e_J) = f(e_{j1}) ^ ... ^ f(e_{jk}) (:func:`outermorphism`), built from
+the wedge table of :func:`blade_tensors`.  Serialization uses 1-based
+comma-joined index keys: "" for the scalar slot, "1", "1,3", ...
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BladeKeyError
+from .jets import Jet, contract
 
 
 def grade_of(mask: int) -> int:
@@ -46,13 +48,6 @@ def indices_of(mask: int):
         mask >>= 1
         i += 1
     return out
-
-
-def mask_of(indices0) -> int:
-    m = 0
-    for i in indices0:
-        m |= 1 << i
-    return m
 
 
 def key_of(mask: int) -> str:
@@ -155,6 +150,80 @@ def blade_tensors(n: int) -> tuple:
         for t in table:
             t.setflags(write=False)
     return tables
+
+
+def apply_blades(table, x: Jet, summed: bool = False) -> Jet:
+    """A gather table (src, sign) applied to the blade axis, the last value
+    axis, of x: x[..., b] becomes T_k x[..., :] on value axes (..., k, a),
+    k no index, one or two, or with ``summed`` and one index x[..., k, b]
+    becomes sum_k T_k x[..., k, :] on value axes (..., a)."""
+    src, sign = table
+    v = x.value.ndim
+    if summed:
+        index = (slice(None),) * (v - 2) + (np.arange(len(src))[:, None], src)
+    else:
+        index = (slice(None),) * (v - 1) + (src,)
+    out = []
+    for c in x.coeffs:
+        term = c[index] * sign.reshape(sign.shape + (1,) * (c.ndim - v))
+        out.append(term.sum(axis=v - 2) if summed else term)
+    return Jet(*out)
+
+
+def live_masks(x: Jet) -> list:
+    """The masks of the rows of a (2^n,) jet that are nonzero in some
+    Taylor coefficient."""
+    live = x.value != 0.0
+    for c in x.coeffs[1:]:
+        live |= c.reshape(len(c), -1).any(axis=1)
+    return np.flatnonzero(live).tolist()
+
+
+def outermorphism(M, x) -> Jet:
+    """A change of blade basis on the blade axis of a (2^n,) jet or array.
+
+    If old basis vectors expand in the new basis as old_i = sum_k M[i, k]
+    new_k, each old blade maps to the wedge of the images of its vectors,
+
+        f(e_J) = f(e_j) ^ f(e_{J - j}) = sum_k M[j, k] wedge[k] f(e_{J - j})
+
+    with j the lowest index of J.  The images are built a grade at a time,
+    on the rows of that grade only, for the live blades of x and the blades
+    that recursion reaches.  M is an (n, n) matrix jet or array; the result
+    has the lower of the two orders.
+    """
+    M, x = (a if isinstance(a, Jet) else Jet(np.asarray(a, dtype=float))
+            for a in (M, x))
+    n = len(M.value)
+    src, sign = blade_tensors(n)[2]
+    grade = np.count_nonzero(sign, axis=0)    # wedge[k] reads e_a when k is in a
+    # the live blades and each one without its i lowest vectors
+    need = {m & -(1 << i) for m in live_masks(x) for i in range(n + 1)}
+    # scalars are fixed; the loop overwrites the rows of every grade up to
+    # the highest live one, and x is zero above it
+    out = [c.copy() for c in x.coeffs[:min(x.order, M.order) + 1]]
+    # images[b, K]: the image of blades[b] on the blade cols[K]
+    blades, cols, images = [], None, None
+    for k in range(1, n + 1):
+        prev, at = cols, {m: b for b, m in enumerate(blades)}
+        blades = sorted(m for m in need if m.bit_count() == k)
+        if not blades:
+            break
+        cols = np.flatnonzero(grade == k)
+        lead = M.take([(m & -m).bit_length() - 1 for m in blades])
+        if k == 1:
+            images = lead                       # f(e_j) = M[j] on the vectors
+        else:
+            # the wedge table from the rows of grade k - 1 to those of grade k
+            s = sign[:, cols]
+            table = (np.where(s != 0, np.searchsorted(prev, src[:, cols]), 0), s)
+            rest = images.take([at[m & (m - 1)] for m in blades])
+            images = contract("bl,blK->bK", lead, apply_blades(table, rest))
+        # the blades that are only prefixes have zero rows in x
+        part = contract("b,bK->K", x.take(blades), images)
+        for c_out, c in zip(out, part.coeffs):
+            c_out[cols] = c
+    return Jet(*out)
 
 
 def prune(mv: dict, tol: float = 0.0) -> dict:
@@ -278,32 +347,4 @@ def dot_generic(A: dict, B: dict, gram, n: int) -> dict:
                 continue
             prod = gp_generic(Aj, Bk, gram, n)
             add_into(out, grade_select(prod, k - j))
-    return out
-
-
-def outermorphism(M, comps: dict) -> dict:
-    """Blade components after a change of basis.
-
-    If old basis vectors expand in the new basis as old_i = sum_k M[i][k] new_k,
-    each old blade maps to the wedge of the images of its vectors,
-
-        f(e_{j1} ^ e_{j2} ^ ... ^ e_{jk}) = f(e_{j1}) ^ f(e_{j2} ^ ... ^ e_{jk}),
-
-    so every image is built from that of the blade one vector shorter, once
-    per call.  Entries of M may be floats or jets.
-    """
-    images = {0: {0: 1.0}}
-
-    def image(mask: int) -> dict:
-        done = images.get(mask)
-        if done is not None:
-            return done
-        lead = (mask & -mask).bit_length() - 1
-        out = vector_wedge_mv(list(enumerate(M[lead])), image(mask & (mask - 1)))
-        images[mask] = out
-        return out
-
-    out: dict = {}
-    for mask, coeff in comps.items():
-        add_into(out, image(mask), coeff)
     return out

@@ -376,11 +376,6 @@ def eval_jet(e: Expr, point, order: int = 2) -> Jet:
     return out
 
 
-def eval_jet2(e: Expr, point) -> Jet:
-    """Value, gradient and Hessian at ``point``."""
-    return eval_jet(e, point, 2)
-
-
 def check_point(point, n: int):
     if len(point) != n:
         raise DimMismatch(f"point has length {len(point)}, chart dimension is {n}")

@@ -131,17 +131,18 @@ def hat_map(chart: Chart, field):
     """Multivector field (coordinate frame) -> form, via the dx basis.
 
     The coordinate vectors expand over the gradient basis as e_i = g_ik dx^k,
-    so the blades expand by the outermorphism, e_J = e_{j1} ^ ... ^ e_{jk};
-    the resulting dx components are the form components.  Fields over
-    another frame are re-expressed first.
+    so the blades expand by the outermorphism of g, e_J = e_{j1} ^ ... ^ e_{jk},
+    applied on the field's blade axis; the resulting dx components, read off
+    as a blade map, are the form components.  Fields over another frame are
+    re-expressed first.
     """
     if field.frame != "coord":
         field = reexpress_field(chart, field.frame, "coord", field)
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        return bl.outermorphism(fj.g_coord,
-                                to_blade_map(field_jets(field, point, order)))
+        return to_blade_map(bl.outermorphism(fj.g_coord,
+                                             field_jets(field, point, order)))
 
     # mixed-grade fields are transferred grade by grade; degree is only
     # meaningful when the input is pure, so record the top populated grade
@@ -149,12 +150,12 @@ def hat_map(chart: Chart, field):
 
 
 def unhat(chart: Chart, form) -> DerivedField:
-    """Form -> multivector field over the coordinate frame (inverse of hat)."""
+    """Form -> multivector field over the coordinate frame (inverse of hat):
+    dx^i = g^{ik} e_k, applied by the outermorphism of g^{-1}."""
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        return from_blade_map(bl.outermorphism(fj.gram_inv,
-                                               form_jets(form, point, order)),
-                              chart.n, order)
+        comps = from_blade_map(form_jets(form, point, order), chart.n, order)
+        return bl.outermorphism(fj.gram_inv, comps)
 
     return DerivedField("coord", form.budget, fn)

@@ -24,9 +24,10 @@ Fontijne & Mann (2007) on bitmask blades.  :func:`gcalc.blades.blade_tensors`
 holds them as signed gather tables, one entry per output blade and index,
 and the sums over frame indices are ``jets.contract`` calls.  The work
 grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
-coordinates.  Pointwise products (the dual, ``product_field``) and changes
-of frame (:func:`gcalc.blades.outermorphism`) work on blade maps,
-converting at their boundary with :func:`to_blade_map` and
+coordinates.  Changes of frame and the dual act on the same (2^n,) jet
+through :func:`gcalc.blades.outermorphism`, and the grade projection is a
+mask of its rows.  Only the ring-generic ``product_field`` works on blade
+maps, converting at its boundary with :func:`to_blade_map` and
 :func:`from_blade_map`.
 
 The exterior derivative is the torsion-free curl and the codifferential the
@@ -87,10 +88,7 @@ def from_blade_map(comps: dict, n: int, order: int) -> Jet:
 def to_blade_map(jet: Jet) -> dict:
     """The blade map of scalar jets of a (2^n,) jet, without the rows that
     are zero in every Taylor coefficient."""
-    live = np.zeros(len(jet.value), dtype=bool)
-    for c in jet.coeffs:
-        live |= c.reshape(len(c), -1).any(axis=1)
-    return {int(m): jet.take(m) for m in np.flatnonzero(live)}
+    return {m: jet.take(m) for m in bl.live_masks(jet)}
 
 
 def field_jets(field, point, order: int) -> Jet:
@@ -129,24 +127,6 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise JetBudgetExhausted("field has no derivative budget left")
 
 
-def _apply_blades(table, x: Jet, summed: bool) -> Jet:
-    """A table of :func:`gcalc.blades.blade_tensors` applied to the blade
-    axis, the last value axis, of x: x[..., b] becomes T_k x[..., :] on
-    value axes (..., k, a), k one index or two, or with ``summed`` and one
-    index x[..., k, b] becomes sum_k T_k x[..., k, :] on value axes (..., a)."""
-    src, sign = table
-    v = x.value.ndim
-    if summed:
-        index = (slice(None),) * (v - 2) + (np.arange(len(src))[:, None], src)
-    else:
-        index = (slice(None),) * (v - 1) + (src,)
-    out = []
-    for c in x.coeffs:
-        term = c[index] * sign.reshape(sign.shape + (1,) * (c.ndim - v))
-        out.append(term.sum(axis=v - 2) if summed else term)
-    return Jet(*out)
-
-
 def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
     """D_{e_i} field for each direction i in ``dirs``: a jet of shape
     (len(dirs), 2^n) and the given order.
@@ -160,7 +140,7 @@ def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
         F, mixed = F.take(dirs), mixed.take(dirs)
     A = field_jets(field, point, order + 1)
     # Lambda[j, l] A for every e_j -> e_l, at the order of the result
-    lifted = _apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
+    lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
                            summed=False)
     return contract("ik,ak->ia", F, A.partials()) + contract("ijl,jla->ia", mixed, lifted)
 
@@ -206,10 +186,10 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
         if combine != "dot":
             # e^i ^ D_i = e_l ^ D^l, with D^l = g^{li} D_i the derivative along e^l
             ginv = gamma_jets(spec, point, order).frame.gram_inv
-            curl = _apply_blades(wedge, contract("il,ia->la", ginv, D), summed=True)
+            curl = bl.apply_blades(wedge, contract("il,ia->la", ginv, D), summed=True)
             if combine == "wedge":
                 return curl
-        div = _apply_blades(interior, D, summed=True)
+        div = bl.apply_blades(interior, D, summed=True)
         return div if combine == "dot" else div + curl
 
     return DerivedField(spec.frame, field.budget - 1, fn)
@@ -272,17 +252,27 @@ def _pseudoscalar_square_sign(n: int, det_gram) -> float:
 
 
 def dual_field(chart: Chart, frame: str, field) -> DerivedField:
-    """A I^{-1} with the chart's unit pseudoscalar; costs no jet budget."""
+    """A I^{-1} with the chart's unit pseudoscalar; costs no jet budget.
+
+    With I^{-1} = (orientation s / sqrt|det g|) e_top and s = I^2, the dual
+    lowers A onto the reciprocal blades, E_K = f_g(E^K) with f_g the
+    outermorphism of the frame Gram, and gathers the complement
+    E^K e_top = (-1)^(sum of the 0-based indices of K) e_{top - K}.
+    """
     n = chart.n
     top = (1 << n) - 1
+    odd = sum(1 << i for i in range(1, n, 2))
+    complement = (top - np.arange(1 << n),
+                  np.array([(-1.0) ** ((top - m) & odd).bit_count()
+                            for m in range(1 << n)]))
 
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
-        comps = to_blade_map(field_jets(field, point, order))
+        lowered = bl.outermorphism(fj.gram, field_jets(field, point, order))
         norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
         s = _pseudoscalar_square_sign(n, fj.det_gram)
-        inv = {top: (float(chart.orientation) * s) / norm}
-        return from_blade_map(bl.gp_generic(comps, inv, fj.gram, n), n, order)
+        return contract(",a->a", (float(chart.orientation) * s) / norm,
+                        bl.apply_blades(complement, lowered))
 
     return DerivedField(frame, field.budget, fn)
 
@@ -383,8 +373,10 @@ def grade_field(field, k: int) -> DerivedField:
     """Grade-k part of a field."""
 
     def fn(point, order):
-        comps = to_blade_map(field_jets(field, point, order))
-        return from_blade_map(bl.grade_select(comps, k), len(point), order)
+        A = field_jets(field, point, order)
+        keep = np.array([m.bit_count() == k for m in range(len(A.value))])
+        return Jet(*(np.where(keep.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0)
+                     for c in A.coeffs))
 
     return DerivedField(field.frame, field.budget, fn)
 
@@ -404,8 +396,7 @@ def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> Deri
         # rows of M: source frame vectors in destination-frame components,
         # e_i(src) = M[i][j] e_j(dst) with M = F_src F_dst^{-1}
         M = contract("ik,kj->ij", src.F, mat_det_inv(dst.F)[1])
-        comps = to_blade_map(field_jets(field, point, order))
-        return from_blade_map(bl.outermorphism(M, comps), chart.n, order)
+        return bl.outermorphism(M, field_jets(field, point, order))
 
     return DerivedField(dst_frame, field.budget, fn)
 

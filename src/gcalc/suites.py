@@ -28,7 +28,6 @@ from .connection import (conn_spec, connection_at, contorsion_apply,
                          levi_civita, mixed_gamma)
 from .errors import GcalcError, DomainError
 from .forms import FormField, form_add, form_d, form_eval, form_wedge, hat_map, unhat
-from .jets import value_of
 from .manifest import builtin
 from .manifold import (Chart, MultivectorField, dirderiv_scalar, eval_frame,
                        frame_jets, lie_bracket, sample_point)
@@ -521,31 +520,38 @@ def _chk_commutator_antisymmetry(rng, samples):
     return dev, samples, None
 
 
-def _jet_dir(F_row, jet):
-    """Directional derivative of an order >= 1 jet along a frame row."""
-    return sum(value_of(F_row[c]) * jet.grad[c] for c in range(len(F_row)))
-
-
 def _chk_commutator_jacobi(rng, samples):
+    """The Jacobi identity of the frame brackets [e_j, e_k] = c_jk^q e_q,
+    c_jk^q = L_jkp g^{pq}, dotted with e_m:
+
+        sum_cyc c_jk^q L_qim = sum_cyc [e_i(L_jkm) - c_jk^l e_i(g_lm)],
+
+    each side summed over the cyclic permutations of (i, j, k).  On 2-D
+    frames both sides vanish; the 3-D chart has a frame whose vectors do not
+    commute and a Gram that varies."""
+    twist = Chart("curved3", ("x", "y", "z"),
+                  (("1 + x^2", "0.3*y", "0.1*z"),
+                   ("0.3*y", "2 + y*z", "0.2*x"),
+                   ("0.1*z", "0.2*x", "1.5 + 0.5*sin(x)")),
+                  {"twist": (("1", "0.2*y", "0"),
+                             ("0.1*z", "1", "0.3*x"),
+                             ("0", "0.2*x*y", "1"))},
+                  domain=((-0.5, 0.5),) * 3)
+    setups = ((_chart("sphere2"), "ortho"), (_chart("polar2"), "skew"),
+              (twist, "twist"))
     dev = 0.0
-    pairs = (("sphere2", "ortho"), ("polar2", "skew"))
     for s in range(samples):
-        name, frame = pairs[s % 2]
-        chart = _chart(name)
-        n = chart.n
-        point = sample_point(chart, rng)
-        fj = frame_jets(chart, frame, point, 2)
-        L, ginv, F = fj.lie, fj.gram_inv, fj.F
-        for i, j, k, m in itertools.product(range(n), repeat=4):
-            lhs = sum(value_of(ginv[p][q])
-                      * (value_of(L[j][k][p]) * value_of(L[q][i][m])
-                         + value_of(L[i][j][p]) * value_of(L[q][k][m])
-                         + value_of(L[k][i][p]) * value_of(L[q][j][m]))
-                      for p in range(n) for q in range(n))
-            rhs = (_jet_dir(F[i], L[j][k][m])
-                   + _jet_dir(F[k], L[i][j][m])
-                   + _jet_dir(F[j], L[k][i][m]))
-            dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        chart, frame = setups[s % 3]
+        fj = frame_jets(chart, frame, sample_point(chart, rng), 2)
+        L = fj.lie.value
+        c = np.einsum("jkp,pq->jkq", L, fj.gram_inv.value)
+        lhs = np.einsum("jkq,qim->ijkm", c, L)
+        rhs = (np.einsum("ia,jkma->ijkm", fj.F.value, fj.lie.grad)
+               - np.einsum("jkl,ilm->ijkm", c, fj.dgram.value))
+        lhs, rhs = (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+                    for t in (lhs, rhs))
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        dev = max(dev, float(np.max(np.abs(lhs - rhs) / scale)))
     return dev, samples, None
 
 

@@ -32,9 +32,9 @@ from .algebra import Multivector
 from .connection import ConnSpec
 from .errors import (FrameMismatch, GradeMismatch, MixedGrade,
                      NonScalarOutput, SignatureMismatch, SlotGradeError)
+from .jets import Jet, contract as contract_jets
 from .manifold import Chart, FrameAt, MultivectorField, eval_frame, frame_jets
-from .mdd import (DerivedField, eval_field, field_jets, from_blade_map, mdd,
-                  to_blade_map)
+from .mdd import DerivedField, eval_field, field_jets, mdd
 
 
 @dataclass(frozen=True)
@@ -82,78 +82,56 @@ class TensorField:
         return self.chart.n
 
 
-def _pure_grade_comps(arg, k: int, n: int) -> dict:
-    """Frame components of a pure grade-k argument (the zero map is fine)."""
-    comps = arg.coeffs if isinstance(arg, Multivector) else dict(arg)
-    for mask in comps:
-        if bl.grade_of(mask) != k:
-            raise GradeMismatch(
-                f"argument has a grade-{bl.grade_of(mask)} part in a grade-{k} slot")
-    return comps
-
-
 def tensor_eval(T: TensorField, args, point) -> Multivector:
-    """Multilinear evaluation on pure-grade multivector arguments."""
-    point = tuple(float(p) for p in point)
-    sig = T.signature
-    if len(args) != sig.rank:
-        raise SlotGradeError(f"tensor takes {sig.rank} arguments, got {len(args)}")
-    arg_comps = [_pure_grade_comps(a, k, T.n)
-                 for a, k in zip(args, sig.inputs)]
-    out_coeff: dict = {}
-    for key, e in T.components.items():
-        prod = None
-        for comps, mask in zip(arg_comps, key[:-1]):
-            c = comps.get(mask, 0.0)
-            if c == 0.0:
-                prod = None
-                break
-            prod = c if prod is None else prod * c
-        if prod is None:
-            continue
-        val = ex.eval_value(e, point) * prod
-        out_coeff[key[-1]] = out_coeff.get(key[-1], 0.0) + val
-
-    frame_at = eval_frame(T.chart, T.frame, point)
-    out = bl.outermorphism(frame_at.gram_inv, out_coeff)
-    return Multivector(T.n, bl.prune(out, 0.0))
+    """Multilinear evaluation on pure-grade multivector arguments: the
+    order-0 case of :func:`tensor_output_field` on constant fields."""
+    return eval_field(tensor_output_field(T, [
+        MultivectorField(T.frame, {m: ex.Num(c) for m, c in a.coeffs.items()})
+        for a in args]), point)
 
 
 def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
-    """T applied to argument fields, as a differentiable field."""
+    """T applied to argument fields, as a differentiable field.
+
+    The output components sum_key T_key prod_s args_s[J_s] sit on the
+    reciprocal blades E^{J0} and are expanded over the frame blades by the
+    outermorphism of the inverse Gram, e^i = g^{ik} e_k, which leaves a
+    scalar output as it is.
+    """
     sig = T.signature
     if len(arg_fields) != sig.rank:
-        raise SlotGradeError(f"tensor takes {sig.rank} arguments")
+        raise SlotGradeError(
+            f"tensor takes {sig.rank} arguments, got {len(arg_fields)}")
     for f in arg_fields:
         if f.frame != T.frame:
             raise FrameMismatch("argument fields must share the tensor's frame")
     budget = min([2] + [f.budget for f in arg_fields])
 
     def fn(point, order):
-        fj = frame_jets(T.chart, T.frame, point, order)
-        jets = [to_blade_map(field_jets(f, point, order)) for f in arg_fields]
-        for comps, k in zip(jets, sig.inputs):
-            for mask in comps:
+        args = [field_jets(f, point, order) for f in arg_fields]
+        live = []
+        for A, k in zip(args, sig.inputs):
+            live.append(set(bl.live_masks(A)))
+            for mask in live[-1]:
                 if bl.grade_of(mask) != k:
                     raise GradeMismatch(
-                        f"argument field has grade-{bl.grade_of(mask)} part in "
-                        f"a grade-{k} slot")
-        out_coeff: dict = {}
-        for key, e in T.components.items():
-            prod = ex.eval_jet(e, point, order)
-            missing = False
-            for comps, mask in zip(jets, key[:-1]):
-                c = comps.get(mask)
-                if c is None:
-                    missing = True
-                    break
-                prod = prod * c
-            if missing:
-                continue
-            cur = out_coeff.get(key[-1])
-            out_coeff[key[-1]] = prod if cur is None else cur + prod
-        return from_blade_map(bl.outermorphism(fj.gram_inv, out_coeff), T.n,
-                              order)
+                        f"argument has a grade-{bl.grade_of(mask)} part in a "
+                        f"grade-{k} slot")
+        keys = [key for key in T.components
+                if all(mask in masks for masks, mask in zip(live, key[:-1]))]
+        out = [np.zeros((1 << T.n,) + (T.n,) * j) for j in range(order + 1)]
+        if keys:
+            prod = Jet.stack([ex.eval_jet(T.components[key], point, order)
+                              for key in keys], (len(keys),))
+            for s, A in enumerate(args):
+                prod = contract_jets("k,k->k", prod,
+                                     A.take([key[s] for key in keys]))
+            for c_out, c in zip(out, prod.coeffs):
+                np.add.at(c_out, [key[-1] for key in keys], c)
+        if not sig.output:
+            return Jet(*out)
+        fj = frame_jets(T.chart, T.frame, point, order)
+        return bl.outermorphism(fj.gram_inv, Jet(*out))
 
     return DerivedField(T.frame, budget, fn)
 
@@ -318,36 +296,21 @@ def _field_pure_grade(field: MultivectorField) -> int:
 
 
 def tensor_conjugate(chart: Chart, frame: str, field: MultivectorField) -> TensorField:
-    """hat(B)(a_1, ..., a_k) = reverse(B) . (a_1 ^ ... ^ a_k)."""
-    if field.frame != frame:
-        raise FrameMismatch("field must be expressed in the stated frame")
-    k = _field_pure_grade(field)
-    n = chart.n
-    gram = frame_gram_exprs(chart, frame)
+    """hat(B)(a_1, ..., a_k) = reverse(B) . (a_1 ^ ... ^ a_k).
 
-    rev = {}
-    for mask, e in field.components.items():
-        rev[mask] = -e if (k * (k - 1) // 2) & 1 else e
-
+    On frame vectors that is (-1)^{k(k-1)/2} times the breve component of
+    the blade e_{i1} ^ ... ^ e_{ik}, signed by sorting the indices.
+    """
+    breve = tensor_conjugate_breve(chart, frame, field)
+    k = breve.signature.inputs[0]
+    rev = -1 if (k * (k - 1) // 2) & 1 else 1
     comps: dict = {}
-    for idx in itertools.product(range(n), repeat=k):
-        blade = 0
-        sign = 1
-        ok = True
-        for i in idx:
-            res = bl.wedge_blades(blade, 1 << i)
-            if res is None:
-                ok = False
-                break
-            s, blade = res
-            sign *= s
-        if not ok:
-            continue
-        val = bl.dot_generic(rev, {blade: 1.0}, gram, n).get(0)
-        if val is None:
-            continue
-        e = val if sign > 0 else -val
-        comps[tuple(1 << i for i in idx) + (0,)] = e
+    for idx in itertools.permutations(range(chart.n), k):
+        e = breve.components.get((sum(1 << i for i in idx), 0))
+        if e is not None:
+            swaps = sum(a > b for a, b in itertools.combinations(idx, 2))
+            comps[tuple(1 << i for i in idx) + (0,)] = \
+                -e if rev * (-1) ** swaps < 0 else e
     return TensorField(chart, frame, TensorSignature((1,) * k, 0), comps)
 
 

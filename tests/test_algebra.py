@@ -86,7 +86,7 @@ def _to_tuple_map(mv: Multivector):
 
 
 def _from_tuple_map(dim, d):
-    return Multivector(dim, {blades.mask_of(idx): c for idx, c in d.items()})
+    return Multivector(dim, {sum(1 << i for i in idx): c for idx, c in d.items()})
 
 
 def _random_mv(rng, n, grades=None):
@@ -228,30 +228,68 @@ class TestGeometricProduct:
                 arr[0, 0] = 2.0
 
 
+def _pushed(M, x):
+    """The _push oracle on a dense blade array: components after the basis
+    change old_i = sum_k M[i, k] new_k, as a dense array."""
+    n = M.shape[0]
+    out = np.zeros(1 << n)
+    comps = {tuple(blades.indices_of(m)): c for m, c in enumerate(x) if c}
+    for idx, c in _push(M, comps).items():
+        out[sum(1 << i for i in idx)] = c
+    return out
+
+
 class TestOutermorphism:
     def test_matches_minor_determinants(self):
         # f(e_J) built by wedging vector images must carry det(M[J;K]) on
         # e_K, which _push takes from np.linalg.det of every minor
         rng = np.random.default_rng(131)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             for _ in range(6):
                 M = rng.normal(size=(n, n))
-                A = _random_mv(rng, n)
-                got = Multivector(n, blades.outermorphism(M, A.coeffs))
-                want = _from_tuple_map(n, _push(M, _to_tuple_map(A)))
-                assert _dev(got, want) < 1e-13
+                x = rng.normal(size=1 << n) * (rng.random(1 << n) < 0.7)
+                got = blades.outermorphism(M, x)
+                assert got.order == 0
+                assert np.max(np.abs(got.value - _pushed(M, x))) < 1e-13
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_jet_matrix_and_operand(self, n):
+        # M(t) = M0 + t M1 and x(t) = x0 + t x1 as jets in one coordinate t:
+        # the value is the minor oracle at t = 0, the derivatives its central
+        # differences
+        rng = np.random.default_rng(140 + n)
+        M0, M1 = rng.normal(size=(2, n, n))
+        x0, x1 = rng.normal(size=(2, 1 << n))
+        M = Jet(M0, M1[..., None], np.zeros((n, n, 1, 1)))
+        x = Jet(x0, x1[:, None], np.zeros((1 << n, 1, 1)))
+        got = blades.outermorphism(M, x)
+
+        def at(t):
+            return _pushed(M0 + t * M1, x0 + t * x1)
+
+        h = 1e-4
+        assert np.max(np.abs(got.value - at(0.0))) < 1e-13
+        assert np.max(np.abs(got.grad[:, 0] - (at(h) - at(-h)) / (2 * h))) < 1e-6
+        second = (at(h) - 2 * at(0.0) + at(-h)) / (h * h)
+        assert np.max(np.abs(got.hess[:, 0, 0] - second)) < 1e-5
+        # an array operand is an order-0 jet, and the result takes the lower
+        # of the two orders
+        assert blades.outermorphism(M, x0).order == 0
+        assert blades.outermorphism(M, Jet(x0, np.zeros((1 << n, 1)))).order == 1
 
     def test_identity_and_jet_entries(self):
-        A = {0: 2.0, 0b011: -1.5, 0b111: 0.25}
-        assert blades.prune(blades.outermorphism(np.eye(3), A)) == A
+        x = np.array([2.0, 0, 0, -1.5, 0, 0, 0, 0.25])
+        assert np.array_equal(blades.outermorphism(np.eye(3), x).value, x)
         # a 2x2 jet matrix: the bivector picks up the determinant, with its
         # derivative by the product rule
-        x = Jet.variable(0.5, 1, 0, 1)
-        M = [[x, 0.0], [1.0, x * x]]
-        out = blades.outermorphism(M, {0b11: 1.0})
-        assert set(out) == {0b11}
-        assert out[0b11].value == 0.125
-        assert abs(out[0b11].grad[0] - 0.75) < 1e-15
+        t = Jet.variable(0.5, 1, 0, 1)
+        M = Jet.stack([t, Jet(0.0, np.zeros(1)), Jet(1.0, np.zeros(1)), t * t],
+                      (2, 2))
+        out = blades.outermorphism(M, Jet(np.array([0.0, 0.0, 0.0, 1.0]),
+                                          np.zeros((4, 1))))
+        assert blades.live_masks(out) == [0b11]
+        assert out.value[0b11] == 0.125
+        assert abs(out.grad[0b11, 0] - 0.75) < 1e-15
 
 
 class TestWedgeDotGrade:

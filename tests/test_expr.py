@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gcalc import expr
 from gcalc.errors import DomainError, ParseError, UnknownIdentifier
 from gcalc.expr import (Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub,
-                        eval_jet2, eval_value, parse, to_text)
+                        eval_jet, eval_value, parse, to_text)
 
 
 class TestParse:
@@ -103,20 +103,20 @@ class TestPrintRoundTrip:
 
 class TestJets:
     def test_product_jet(self):
-        j = eval_jet2(parse("x*y", ["x", "y"]), (2.0, 3.0))
+        j = eval_jet(parse("x*y", ["x", "y"]), (2.0, 3.0), 2)
         assert j.value == 6.0
         assert np.allclose(j.grad, [3.0, 2.0])
         assert np.allclose(j.hess, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_sin_squared(self):
-        j = eval_jet2(parse("sin(theta)^2", ["theta"]), (math.pi / 4,))
+        j = eval_jet(parse("sin(theta)^2", ["theta"]), (math.pi / 4,), 2)
         assert abs(j.value - 0.5) < 1e-15
         assert abs(j.grad[0] - 1.0) < 1e-15
         assert abs(j.hess[0, 0]) < 1e-15
 
     def test_division_by_zero(self):
         with pytest.raises(DomainError):
-            eval_jet2(parse("1/x", ["x"]), (0.0,))
+            eval_jet(parse("1/x", ["x"]), (0.0,), 2)
 
     def test_log_domain(self):
         with pytest.raises(DomainError):
@@ -127,13 +127,13 @@ class TestJets:
             eval_value(parse("sqrt(x)", ["x"]), (-4.0,))
 
     def test_integer_power_with_negative_base(self):
-        j = eval_jet2(parse("x^3", ["x"]), (-2.0,))
+        j = eval_jet(parse("x^3", ["x"]), (-2.0,), 2)
         assert j.value == -8.0
         assert j.grad[0] == 12.0
         assert j.hess[0, 0] == -12.0
 
     def test_negative_integer_exponent(self):
-        j = eval_jet2(parse("x^-2", ["x"]), (2.0,))
+        j = eval_jet(parse("x^-2", ["x"]), (2.0,), 2)
         assert abs(j.value - 0.25) < 1e-15
         assert abs(j.grad[0] + 0.25) < 1e-15
 
@@ -143,13 +143,13 @@ class TestJets:
         assert abs(eval_value(parse("4^0.5", []), ()) - 2.0) < 1e-14
 
     def test_variable_exponent(self):
-        j = eval_jet2(parse("x^y", ["x", "y"]), (2.0, 3.0))
+        j = eval_jet(parse("x^y", ["x", "y"]), (2.0, 3.0), 2)
         assert abs(j.value - 8.0) < 1e-12
         assert abs(j.grad[0] - 12.0) < 1e-11          # y x^(y-1)
         assert abs(j.grad[1] - 8.0 * math.log(2.0)) < 1e-11
 
     def test_constant_expression_promoted(self):
-        j = eval_jet2(parse("2 + 3", []), ())
+        j = eval_jet(parse("2 + 3", []), (), 2)
         assert j.value == 5.0
         assert j.grad.shape == (0,)
 
@@ -206,7 +206,7 @@ class TestJetsAgainstFiniteDifferences:
             tree = parse(text, ["x", "y"])
             point = tuple(rng.uniform(-1.2, 1.2, size=2))
             f = lambda p: eval_value(tree, p)
-            jet = eval_jet2(tree, point)
+            jet = eval_jet(tree, point, 2)
             fg = _fd_grad(f, point, 1e-5)
             fh = _fd_hess(f, point, 5e-4)
             scale_g = max(1.0, float(np.max(np.abs(jet.grad))), float(np.max(np.abs(fg))))
@@ -221,7 +221,7 @@ class TestJetsAgainstFiniteDifferences:
         for _ in range(50):
             text = SMOOTH_TEMPLATES[rng.integers(0, len(SMOOTH_TEMPLATES))]
             tree = parse(text, ["x", "y"])
-            j = eval_jet2(tree, tuple(rng.uniform(-1, 1, size=2)))
+            j = eval_jet(tree, tuple(rng.uniform(-1, 1, size=2)), 2)
             assert np.allclose(j.hess, j.hess.T, atol=1e-14)
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from gcalc import blades as bl
 from gcalc.errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from gcalc.forms import (FormField, form_add, form_d, form_eval, form_jets,
                          form_wedge, hat_map, unhat)
-from gcalc.manifest import builtin
-from gcalc.manifold import MultivectorField, eval_frame
-from gcalc.mdd import eval_field, ext_d_field, product_field
+from gcalc.manifest import builtin, builtin_names
+from gcalc.manifold import MultivectorField, eval_frame, sample_point
+from gcalc.mdd import (eval_field, ext_d_field, field_jets, product_field,
+                       reexpress_field)
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -117,6 +119,26 @@ class TestHatMap:
             point = (rng.uniform(0.2, 2.4), rng.uniform(-2.9, 2.9))
             diff = eval_field(back, point) - eval_field(A, point)
             assert diff.norm_inf() < 1e-12
+
+    def test_unhat_inverts_hat_to_second_order(self):
+        """unhat(hat(A)) = A in value, gradient and Hessian on every builtin
+        chart and frame (fields off the coordinate frame are re-expressed
+        into it by hat, so they are compared there)."""
+        rng = np.random.default_rng(13)
+        for name in builtin_names():
+            chart = builtin(name).chart
+            x = chart.coords[0]
+            A = MultivectorField.parse(chart, {
+                bl.key_of(m): f"{rng.uniform(-1, 1)!r} + {x}^2"
+                for m in range(1 << chart.n)})
+            point = sample_point(chart, rng)
+            for frame in chart.frames:
+                field = A if frame == "coord" else \
+                    reexpress_field(chart, "coord", frame, A)
+                back = field_jets(unhat(chart, hat_map(chart, field)), point, 2)
+                want = field_jets(A, point, 2)
+                for got_c, want_c in zip(back.coeffs, want.coeffs):
+                    assert np.max(np.abs(got_c - want_c)) < 1e-12
 
     def test_round_trip_starting_from_a_form(self):
         w = FormField.parse(SPHERE, 1, {"1": "theta*phi", "2": "sin(theta)"})

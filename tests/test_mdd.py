@@ -6,12 +6,13 @@ import pytest
 
 from gcalc import blades as bl
 from gcalc import expr as ex
-from gcalc.algebra import Multivector, as_gram, dot as mv_dot, wedge as mv_wedge
+from gcalc.algebra import (Multivector, as_gram, dot as mv_dot, dual,
+                           wedge as mv_wedge)
 from gcalc.connection import conn_spec, levi_civita
 from gcalc.errors import FrameMismatch, JetBudgetExhausted
-from gcalc.manifest import builtin, load_manifest
+from gcalc.manifest import builtin, builtin_names, load_manifest
 from gcalc.manifold import (Chart, MultivectorField, dirderiv_scalar,
-                            eval_frame, frame_jets)
+                            eval_frame, frame_jets, sample_point)
 from gcalc.mdd import (DerivedField, add_fields, codifferential,
                        codifferential_via_dual, curl, curl_field, divergence,
                        divergence_field, dual_field, eval_field, ext_d,
@@ -357,6 +358,53 @@ class TestExteriorAndCodifferential:
         got = eval_field(dual_field(FLAT2, "coord", one), (0.0, 0.0))
         # I^{-1} = -I in the euclidean plane
         assert got.to_blade_map() == pytest.approx({"1,2": -1.0})
+
+
+def _builtin_frames():
+    """Every builtin chart and frame, plus polar2 with reversed orientation."""
+    out = []
+    for name in builtin_names():
+        chart = builtin(name).chart
+        out += [(chart, frame) for frame in chart.frames]
+    flipped = Chart("polar2_flipped", POLAR.coords, POLAR.metric,
+                    dict(POLAR.frames), orientation=-1, domain=POLAR.domain)
+    return out + [(flipped, "skew")]
+
+
+def _random_field(rng, chart, frame, grades):
+    x, y = chart.coords[0], chart.coords[-1]
+    return MultivectorField(frame, {
+        m: chart.parse(f"{rng.uniform(-1, 1)!r} + {rng.uniform(-1, 1)!r}*{x}*{y}"
+                       f" + sin({y})")
+        for m in range(1 << chart.n) if m.bit_count() in grades})
+
+
+class TestDual:
+    def test_matches_algebra_dual_in_every_grade(self):
+        """dual_field against algebra.dual, which multiplies by the inverse
+        pseudoscalar through the product table of the frame Gram."""
+        rng = np.random.default_rng(29)
+        for chart, frame in _builtin_frames():
+            for k in range(chart.n + 1):
+                A = _random_field(rng, chart, frame, {k})
+                point = sample_point(chart, rng)
+                got = eval_field(dual_field(chart, frame, A), point)
+                want = dual(eval_field(A, point),
+                            eval_frame(chart, frame, point).gram,
+                            chart.orientation)
+                assert got.grades() == [chart.n - k]
+                assert (got - want).norm_inf() < 1e-12 * max(1.0, want.norm_inf())
+
+    def test_grade_field_is_a_grade_mask(self):
+        rng = np.random.default_rng(31)
+        A = _random_field(rng, MINKOWSKI, "coord", range(5))
+        point = (0.1, 0.2, -0.3, 0.4)
+        whole = field_jets(A, point, 2)
+        parts = [field_jets(grade_field(A, k), point, 2) for k in range(5)]
+        for c, *cs in zip(whole.coeffs, *(p.coeffs for p in parts)):
+            assert np.array_equal(sum(cs), c)
+        for k, part in enumerate(parts):
+            assert {bl.grade_of(m) for m in bl.live_masks(part)} == {k}
 
 
 class TestSecondDerivatives:

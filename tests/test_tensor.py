@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gcalc import blades as bl
 from gcalc import expr as ex
 from gcalc.algebra import Multivector, as_gram, dot as mv_dot, gp, \
     reverse as mv_reverse, wedge as mv_wedge
@@ -14,14 +15,14 @@ from gcalc.errors import (GradeMismatch, MixedGrade, NonScalarOutput,
                           SignatureMismatch, SlotGradeError)
 from gcalc.manifest import builtin
 from gcalc.manifold import MultivectorField, eval_frame, frame_jets
-from gcalc.mdd import DerivedField, from_blade_map, mdd
+from gcalc.mdd import DerivedField, eval_field, from_blade_map, mdd
 from gcalc.tensor import (TensorField, TensorSignature, change_of_frame_matrix,
                           conjugate_derivative_check, contorsion_tensor,
                           contract, metric_tensor_field, tensor_add,
                           tensor_conjugate, tensor_conjugate_breve,
                           tensor_derivative_chain,
                           tensor_derivative_components, tensor_eval,
-                          tensor_product, tensor_scale)
+                          tensor_output_field, tensor_product, tensor_scale)
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -107,6 +108,49 @@ class TestEvaluation:
                 T, [Multivector(2, {1 << k: 1.0}), E2], point)[0]
                 for k in range(2))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_eval_is_the_output_field_on_constant_arguments(self):
+        """tensor_eval equals eval_field of tensor_output_field when every
+        argument is a constant field, and both equal the component sum over
+        reciprocal blades E^J = e^{j1} ^ ... ^ e^{jk} built with
+        algebra.wedge, including multivector outputs."""
+        rng = np.random.default_rng(17)
+        for name in ("sphere2", "euclid3", "minkowski4"):
+            chart = builtin(name).chart
+            n = chart.n
+            point = tuple(0.3 + 0.1 * i for i in range(n))
+            ginv = eval_frame(chart, "coord", point).gram_inv
+            recip = [Multivector(n, {1 << l: ginv[i][l] for l in range(n)})
+                     for i in range(n)]
+            for inputs, output in (((1, 1), 0), ((1,), 1), ((2, 1), 2),
+                                   ((1,), n)):
+                grades = inputs + (output,)
+                comps = {key: f"{rng.uniform(-1, 1)!r} + {chart.coords[0]}^2"
+                         for key in itertools.product(*[
+                             [m for m in range(1 << n) if m.bit_count() == k]
+                             for k in grades])}
+                T = TensorField(chart, "coord", TensorSignature(inputs, output),
+                                comps)
+                args = [Multivector(n, {m: float(rng.normal())
+                                        for m in range(1 << n)
+                                        if m.bit_count() == k})
+                        for k in inputs]
+                want = Multivector(n, {})
+                for key, e in T.components.items():
+                    blade = Multivector.scalar(n, 1.0)
+                    for i in bl.indices_of(key[-1]):
+                        blade = mv_wedge(blade, recip[i])
+                    coeff = ex.eval_value(e, point)
+                    for a, mask in zip(args, key[:-1]):
+                        coeff *= a[mask]
+                    want = want + coeff * blade
+                fields = [MultivectorField("coord", {m: ex.Num(c)
+                                                     for m, c in a.coeffs.items()})
+                          for a in args]
+                got = tensor_eval(T, args, point)
+                assert got.norm_inf() > 0.0
+                assert (got - want).norm_inf() < 1e-12 * max(1.0, want.norm_inf())
+                assert got == eval_field(tensor_output_field(T, fields), point)
 
 
 class TestAlgebra:
