@@ -2,9 +2,9 @@
 
 Multivectors are sparse maps from basis blades (bitmasks, ascending index
 convention) to float coefficients.  The geometric product has one
-definition, the grade recursion of :mod:`gcalc.blades`.  A :class:`Gram`
-runs it once, on one-hot coefficient columns, to fill its structure-constant
-table
+definition, the product kernel on the blade axis in :mod:`gcalc.blades`.  A
+:class:`Gram` applies it once, to the identity, to fill its
+structure-constant table
 
     E_a E_b = sum_c T[a, b, c] E_c,
 
@@ -62,16 +62,11 @@ class Gram:
     def table(self) -> np.ndarray:
         """Structure constants T[a, b, c] of the geometric product, read-only.
 
-        Built on first use: 8^n floats, 32 KB at n = 4.
+        Built on first use, as the product kernel applied to the identity:
+        8^n floats, 32 KB at n = 4.
         """
         size = 1 << self.n
-        one_hot = np.eye(size)
-        cols = {b: one_hot[b] for b in range(size)}
-        table = np.zeros((size, size, size))
-        rows = blades.blade_products(range(size), cols, self.matrix.tolist())
-        for a, row in rows.items():
-            for c, coeffs in row.items():
-                table[a, :, c] = coeffs
+        table = blades.left_products(self.matrix, range(size), np.eye(size)).value
         table.setflags(write=False)
         return table
 

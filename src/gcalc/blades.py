@@ -1,22 +1,26 @@
 """Bitmask blade arithmetic and the definition of the geometric product.
 
 A basis blade over n frame vectors is a bitmask: bit i set means frame vector
-i+1 participates, indices ascending.  A multivector is a blade map, a dict
-from masks to coefficients, or a blade axis, the last axis (length 2^n,
-indexed by mask) of an array jet.  Blade-map coefficients may be floats,
-:class:`gcalc.jets.Jet` objects, expression trees or numpy arrays; the
-product routines are written against plain ring arithmetic so the same code
-serves numeric, jet-valued and symbolic evaluation.
+i+1 participates, indices ascending.  A multivector is a blade axis, the last
+axis (length 2^n, indexed by mask) of an array jet or array, or at the forms
+and serialization boundaries a blade map, a dict from masks to coefficients,
+which :func:`wedge_generic` wedges without a metric.
 
 The geometric product for an arbitrary (symmetric, possibly indefinite) Gram
-matrix is defined here, once, by grade recursion on the left factor,
+matrix is defined here, once, on the blade axis, by grade recursion on the
+left factor,
 
-    E_J B = e_j (E_J' B) - (e_j . E_J') B        with E_J = e_j ^ E_J',
+    E_J B = L_j (E_J' B) - (e_j . E_J') B        with E_J = e_j ^ E_J',
 
-which bottoms out in the two vector-level primitives: the contraction of a
-vector into a blade and the metric-free wedge.  :func:`blade_products` is
-that recursion and :func:`gp_generic` sums its output; the float products in
-:mod:`gcalc.algebra` contract with a structure-constant table filled by it.
+where L_j = eps_j + sum_l g_jl iota_l is the left product by the vector e_j,
+made of the wedge and interior gather tables of :func:`blade_tensors`
+(Hestenes & Sobczyk 1984; Dorst, Fontijne & Mann 2007, ch. 19).
+:func:`left_products` is that recursion, on float arrays and on jets over a
+matrix-jet Gram alike, and :func:`product` sums it into A B, masks it by
+grade into A . B, or drops the metric for A ^ B.  The structure-constant
+table of :mod:`gcalc.algebra` is the recursion applied to the identity, and
+:func:`gp_generic` and :func:`dot_generic` are the product between blade
+maps of floats.
 
 A change of basis acts on a blade axis as the outermorphism of the vector
 map, f(e_J) = f(e_{j1}) ^ ... ^ f(e_{jk}) (:func:`outermorphism`), built from
@@ -170,6 +174,14 @@ def apply_blades(table, x: Jet, summed: bool = False) -> Jet:
     return Jet(*out)
 
 
+def scale(x: Jet, s) -> Jet:
+    """x times the constant array s in every Taylor coefficient; s
+    broadcasts against the value axes of x and may add leading ones."""
+    s = np.asarray(s)
+    v = np.ndim(x.value)
+    return Jet(*(c * s.reshape(s.shape + (1,) * (c.ndim - v)) for c in x.coeffs))
+
+
 def live_masks(x: Jet) -> list:
     """The masks of the rows of a (2^n,) jet that are nonzero in some
     Taylor coefficient."""
@@ -236,86 +248,104 @@ def grade_select(mv: dict, k: int) -> dict:
     return {m: c for m, c in mv.items() if m.bit_count() == k}
 
 
-def vector_dot_blade(vec, mask: int, gram) -> dict:
-    """a . E_J for a vector a given as (index, coefficient) pairs of its
-    nonzero components; the grade drops by one."""
-    out: dict = {}
-    for pos, j in enumerate(indices_of(mask)):
-        s = 0.0
-        for l, c in vec:
-            s = s + c * gram[l][j]
-        if isinstance(s, (int, float)) and s == 0.0:
-            continue
-        if pos & 1:
-            s = -s
-        rem = mask & ~(1 << j)
-        cur = out.get(rem)
-        out[rem] = s if cur is None else cur + s
-    return out
+def left_products(g, masks, B) -> Jet:
+    """E_J B for each blade J of ``masks``, stacked on a new first axis.
 
+    g is the Gram, an (n, n) array or matrix jet, or None for the zero
+    metric, under which the product is the wedge.  B is an (m, 2^n) jet or
+    array: m multivectors on the blade axis.  With j the lowest index of J
+    and J' = J - j, E_J = e_j E_J' - e_j . E_J', so
 
-def vector_wedge_mv(vec, mv: dict) -> dict:
-    """a ^ mv for a vector a given as (index, coefficient) pairs."""
-    out: dict = {}
-    for m, c in mv.items():
-        for l, a in vec:
-            w = wedge_blades(1 << l, m)
-            if w is None:
-                continue
-            sign, res = w
-            term = a * c if sign > 0 else -(a * c)
-            cur = out.get(res)
-            out[res] = term if cur is None else cur + term
-    return out
+        E_J B = L_j (E_J' B) - sum_{m in J'} (-1)^pos(m) g_jm E_{J' - m} B,
+        L_j   = eps_j + sum_l g_jl iota_l,
 
-
-def vector_gp_mv(vec, mv: dict, gram) -> dict:
-    """Geometric product (vector) * (multivector) over an arbitrary Gram."""
-    out: dict = {}
-    for m, c in mv.items():
-        if m:
-            for rem, s in vector_dot_blade(vec, m, gram).items():
-                term = s * c
-                cur = out.get(rem)
-                out[rem] = term if cur is None else cur + term
-    add_into(out, vector_wedge_mv(vec, mv))
-    return out
-
-
-def blade_products(masks, B: dict, gram) -> dict:
-    """E_J B for every blade J in ``masks``, by grade recursion on E_J.
-
-    Each E_J B is computed once: the recursion for a blade and the correction
-    terms of every longer blade share it.
+    with pos(m) the place of m in J' and L_j the left product by e_j, made
+    of the wedge and interior tables of :func:`blade_tensors`.  The products
+    are built a grade at a time, for the blades of ``masks`` and those the
+    recursion reaches.  The result has the order of B, or of g if g is a
+    jet of lower order; an array g is a constant.
     """
-    products = {0: B}
+    B = B if isinstance(B, Jet) else Jet(np.asarray(B, dtype=float))
+    if g is not None and not isinstance(g, Jet):
+        g = np.asarray(g, dtype=float)
+        d = B.grad.shape[-1:] if B.order else ()
+        g = Jet(g, *(np.zeros(g.shape + d * o) for o in range(1, B.order + 1)))
+    masks = list(masks)
+    _, interior, wedge = blade_tensors(B.value.shape[-1].bit_length() - 1)
+    need, todo = set(), list(masks)
+    while todo:
+        m = todo.pop()
+        if m not in need:
+            need.add(m)
+            rest = m & (m - 1)
+            todo += [rest] + [rest & ~(1 << i) for i in indices_of(rest)]
+    # stacks[k][row[J]] = E_J B for the blades J of grade k in need
+    row = {0: 0}
+    stacks = [Jet(*(c[None] for c in B.coeffs))]
+    for k in range(1, max((m.bit_count() for m in need), default=0) + 1):
+        blades = sorted(m for m in need if m.bit_count() == k)
+        lead = [(m & -m).bit_length() - 1 for m in blades]
+        parents = sorted({m & (m - 1) for m in blades})
+        prev = stacks[k - 1].take([row[m] for m in parents])
+        # step[p, :, j] = L_j (E_J' B) for J' = parents[p]
+        step = apply_blades(wedge, prev)
+        if g is not None:
+            step = step + contract("jl,pblc->pbjc", g, apply_blades(interior, prev))
+        at = {m: p for p, m in enumerate(parents)}
+        P = step.take(([at[m & (m - 1)] for m in blades], slice(None), lead))
+        if g is not None and k > 1:
+            drop = np.array([indices_of(m & (m - 1)) for m in blades])
+            src = [[row[m & (m - 1) & ~(1 << i)] for i in idx]
+                   for m, idx in zip(blades, drop)]
+            coef = scale(g.take((np.array(lead)[:, None], drop)),
+                         (-1.0) ** np.arange(k - 1))
+            P = P - contract("bt,btmc->bmc", coef, stacks[k - 2].take(src))
+        row.update((m, b) for b, m in enumerate(blades))
+        stacks.append(P)
+    order = B.order if g is None else min(B.order, g.order)
+    out = [np.empty((len(masks),) + c.shape) for c in B.coeffs[:order + 1]]
+    for k, P in enumerate(stacks):
+        at = [b for b, m in enumerate(masks) if m.bit_count() == k]
+        for o, c in zip(out, P.coeffs):
+            o[at] = c[[row[masks[b]] for b in at]]
+    return Jet(*out)
 
-    def blade_times_b(mask: int) -> dict:
-        done = products.get(mask)
-        if done is not None:
-            return done
-        lead = (mask & -mask).bit_length() - 1
-        e_lead = [(lead, 1.0)]
-        rest = mask & ~(1 << lead)
-        out = vector_gp_mv(e_lead, blade_times_b(rest), gram)
-        for m2, c2 in vector_dot_blade(e_lead, rest, gram).items():
-            add_into(out, blade_times_b(m2), -c2)
-        products[mask] = out
-        return out
 
-    return {mask: blade_times_b(mask) for mask in masks}
+def product(g, A, B, combine: str = "gp") -> Jet:
+    """A B, A . B or A ^ B (``combine`` "gp", "dot" or "wedge") of two
+    (2^n,) jets or arrays under the Gram g, an (n, n) array or matrix jet,
+    which the wedge ignores.
+
+    The product is sum_J A_J E_J B over the live blades J of A
+    (:func:`left_products`).  The dot keeps <E_J B_k>_{k-j} for J of grade j
+    and each grade-k part B_k of B, so B is split by grade on a leading axis
+    and the products are masked to those grades.  The result has the lowest
+    order of the jet operands; an array g is a constant.
+    """
+    A, B = (a if isinstance(a, Jet) else Jet(np.asarray(a, dtype=float)) for a in (A, B))
+    grades = np.array([m.bit_count() for m in range(len(B.value))])
+    masks = live_masks(A)
+    k = np.arange(grades[-1] + 1)[:, None]
+    # B on a leading axis: its grade parts for the dot, else B whole
+    B = scale(B, grades == k if combine == "dot" else np.ones((1, len(grades))))
+    P = left_products(None if combine == "wedge" else g, masks, B)
+    if combine == "dot":
+        P = scale(P, grades == k - grades[masks][:, None, None])
+    return contract("j,jkc->c", A.take(masks), P)
+
+
+def _dict_product(A: dict, B: dict, gram, n: int, combine: str) -> dict:
+    x = np.zeros((2, 1 << n))
+    for row, mv in zip(x, (A, B)):
+        row[list(mv)] = list(mv.values())
+    out = product(np.asarray(gram, dtype=float), x[0], x[1], combine).value
+    return {m: c for m, c in enumerate(out.tolist()) if c != 0.0}
 
 
 def gp_generic(A: dict, B: dict, gram, n: int) -> dict:
-    """Geometric product of two multivectors over an arbitrary Gram matrix.
-
-    The recursion does not need the dimension ``n``; callers pass it all the
-    same.
-    """
-    out: dict = {}
-    for mask, part in blade_products(A, B, gram).items():
-        add_into(out, part, A[mask])
-    return out
+    """Geometric product of two blade maps of floats over an arbitrary Gram
+    (an array or nested lists): :func:`product` between dicts."""
+    return _dict_product(A, B, gram, n, "gp")
 
 
 def wedge_generic(A: dict, B: dict) -> dict:
@@ -333,18 +363,7 @@ def wedge_generic(A: dict, B: dict) -> dict:
 
 
 def dot_generic(A: dict, B: dict, gram, n: int) -> dict:
-    """Grade-projected product <A_j B_k>_{k-j}, summed over pure-grade parts."""
-    out: dict = {}
-    by_grade_a: dict = {}
-    for m, c in A.items():
-        by_grade_a.setdefault(m.bit_count(), {})[m] = c
-    by_grade_b: dict = {}
-    for m, c in B.items():
-        by_grade_b.setdefault(m.bit_count(), {})[m] = c
-    for j, Aj in by_grade_a.items():
-        for k, Bk in by_grade_b.items():
-            if j > k:
-                continue
-            prod = gp_generic(Aj, Bk, gram, n)
-            add_into(out, grade_select(prod, k - j))
-    return out
+    """Grade-projected product <A_j B_k>_{k-j} of two blade maps of floats,
+    summed over pure-grade parts: :func:`product` between dicts."""
+    return _dict_product(A, B, gram, n, "dot")
+

@@ -25,8 +25,8 @@ closed form,
 
     d(G^-1) = -G^-1 dG G^-1,    d(det G) = det G tr(G^-1 dG),
 
-with their second-order terms.  Indexing an array jet reads its entries as
-scalar jets; that entry view is built once per jet.
+with their second-order terms.  :meth:`Jet.take` reads entries and rows of
+an array jet.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _ndarray = np.ndarray
 
 
 class Jet:
-    __slots__ = ("value", "grad", "hess", "_entries")
+    __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad=None, hess=None):
         cls = value.__class__
@@ -105,32 +105,15 @@ class Jet:
         return Jet(self.grad, self.hess)
 
     def take(self, index) -> "Jet":
-        """The jet at ``index`` of the first value axis, as numpy indexes it
-        (an int drops the axis, a list of ints keeps it)."""
+        """The jet at ``index`` of the leading value axes, as numpy indexes
+        them (an int drops an axis, a list of ints keeps it, and a tuple
+        indexes one axis per entry)."""
         return Jet(*(c[index] for c in self.coeffs))
 
     def transpose(self, *axes) -> "Jet":
         """Permute the value axes; the derivative axes stay last."""
         return Jet(*(c.transpose(axes + tuple(range(len(axes), c.ndim)))
                      for c in self.coeffs))
-
-    def entries(self) -> list:
-        """The entries as scalar jets, in nested lists of the jet's shape.
-        Built on the first call and kept, so later reads are list indexing."""
-        try:
-            return self._entries
-        except AttributeError:
-            pass
-        shape = self.value.shape
-        coeffs = [c.reshape((-1,) + c.shape[len(shape):]) for c in self.coeffs]
-        flat = [Jet(*c) for c in zip(coeffs[0].tolist(), *coeffs[1:])]
-        for size in reversed(shape[1:]):
-            flat = [flat[i:i + size] for i in range(0, len(flat), size)]
-        self._entries = flat
-        return flat
-
-    def __getitem__(self, index):
-        return self.entries()[index]
 
     # -- arithmetic -------------------------------------------------------
 

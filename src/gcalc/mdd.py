@@ -25,10 +25,9 @@ holds them as signed gather tables, one entry per output blade and index,
 and the sums over frame indices are ``jets.contract`` calls.  The work
 grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
 coordinates.  Changes of frame and the dual act on the same (2^n,) jet
-through :func:`gcalc.blades.outermorphism`, and the grade projection is a
-mask of its rows.  Only the ring-generic ``product_field`` works on blade
-maps, converting at its boundary with :func:`to_blade_map` and
-:func:`from_blade_map`.
+through :func:`gcalc.blades.outermorphism`, the grade projection is a mask
+of its rows, and the pointwise products of :func:`product_field` are the
+product kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
@@ -308,30 +307,22 @@ def second_ops(spec, field, point, a=None) -> dict:
     out = {"grad_grad": eval_field(gradient_field(spec, g1), point)}
 
     fj = frame_jets(spec.chart, spec.frame, point, 0)
-    gram, ginv = fj.gram.value.tolist(), fj.gram_inv.value.tolist()
-    dd = {}
-    for j in range(n):
-        dj = mdd_along_basis(spec, j, field)
-        rows = _mdd_basis_jets(spec, range(n), dj, point, 0).value.tolist()
-        for i, comps in enumerate(rows):
-            dd[i, j] = {m: c for m, c in enumerate(comps) if c != 0.0}
-
-    dot_dot: dict = {}
-    wedge_wedge: dict = {}
-    gp_gp: dict = {}
+    gram, ginv = fj.gram.value, fj.gram_inv.value
+    # dd[i, j] = D_{e_i} D_{e_j} A and recip[i] = e^i = g^{il} e_l
+    dd = np.stack([_mdd_basis_jets(spec, range(n), mdd_along_basis(spec, j, field),
+                                   point, 0).value for j in range(n)], axis=1)
+    recip = np.zeros((n, 1 << n))
+    recip[:, 1 << np.arange(n)] = ginv
+    wedge_wedge = gp_gp = 0.0
     for i in range(n):
-        recip_i = {1 << l: ginv[i][l] for l in range(n)}
         for j in range(n):
-            bl.add_into(dot_dot, dd[i, j], ginv[i][j])
-            recip_j = {1 << l: ginv[j][l] for l in range(n)}
-            biv = bl.wedge_generic(recip_i, recip_j)
-            if biv:
-                bl.add_into(wedge_wedge, bl.gp_generic(biv, dd[i, j], gram, n))
-            bl.add_into(gp_gp, bl.gp_generic(
-                recip_i, bl.gp_generic(recip_j, dd[i, j], gram, n), gram, n))
-    out["dot_dot"] = Multivector(n, bl.prune(dot_dot, 0.0))
-    out["wedge_wedge"] = Multivector(n, bl.prune(wedge_wedge, 0.0))
-    out["gp_gp"] = Multivector(n, bl.prune(gp_gp, 0.0))
+            biv = bl.product(None, recip[i], recip[j], "wedge")
+            wedge_wedge = wedge_wedge + bl.product(gram, biv, dd[i, j]).value
+            gp_gp = gp_gp + bl.product(
+                gram, recip[i], bl.product(gram, recip[j], dd[i, j])).value
+    for name, values in (("dot_dot", np.einsum("ij,ija->a", ginv, dd)),
+                         ("wedge_wedge", wedge_wedge), ("gp_gp", gp_gp)):
+        out[name] = Multivector(n, dict(enumerate(values.tolist())))
     if a is not None:
         out["directional"] = mdd(spec, a, field, point)
     return out
@@ -352,19 +343,11 @@ def product_field(chart: Chart, frame: str, a, b, combine: str = "gp") -> Derive
     """Pointwise product field A op B, op in {gp, dot, wedge}."""
     if a.frame != frame or b.frame != frame:
         raise FrameMismatch("product operands must live in the stated frame")
-    n = chart.n
 
     def fn(point, order):
-        fj = frame_jets(chart, frame, point, order)
-        ca = to_blade_map(field_jets(a, point, order))
-        cb = to_blade_map(field_jets(b, point, order))
-        if combine == "gp":
-            out = bl.gp_generic(ca, cb, fj.gram, n)
-        elif combine == "dot":
-            out = bl.dot_generic(ca, cb, fj.gram, n)
-        else:
-            out = bl.wedge_generic(ca, cb)
-        return from_blade_map(out, n, order)
+        return bl.product(frame_jets(chart, frame, point, order).gram,
+                          field_jets(a, point, order), field_jets(b, point, order),
+                          combine)
 
     return DerivedField(frame, min(a.budget, b.budget), fn)
 
@@ -374,9 +357,7 @@ def grade_field(field, k: int) -> DerivedField:
 
     def fn(point, order):
         A = field_jets(field, point, order)
-        keep = np.array([m.bit_count() == k for m in range(len(A.value))])
-        return Jet(*(np.where(keep.reshape((-1,) + (1,) * (c.ndim - 1)), c, 0.0)
-                     for c in A.coeffs))
+        return bl.scale(A, [m.bit_count() == k for m in range(len(A.value))])
 
     return DerivedField(field.frame, field.budget, fn)
 

@@ -295,6 +295,14 @@ def _field_pure_grade(field: MultivectorField) -> int:
     return grades.pop() if grades else 0
 
 
+def _reverse_sign(idx) -> int:
+    """(-1)^{k(k-1)/2} times the parity of the k distinct indices idx: the
+    reversion sign times the sign of sorting them."""
+    k = len(idx)
+    swaps = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return -1 if (k * (k - 1) // 2 + swaps) & 1 else 1
+
+
 def tensor_conjugate(chart: Chart, frame: str, field: MultivectorField) -> TensorField:
     """hat(B)(a_1, ..., a_k) = reverse(B) . (a_1 ^ ... ^ a_k).
 
@@ -303,28 +311,38 @@ def tensor_conjugate(chart: Chart, frame: str, field: MultivectorField) -> Tenso
     """
     breve = tensor_conjugate_breve(chart, frame, field)
     k = breve.signature.inputs[0]
-    rev = -1 if (k * (k - 1) // 2) & 1 else 1
     comps: dict = {}
     for idx in itertools.permutations(range(chart.n), k):
         e = breve.components.get((sum(1 << i for i in idx), 0))
         if e is not None:
-            swaps = sum(a > b for a, b in itertools.combinations(idx, 2))
-            comps[tuple(1 << i for i in idx) + (0,)] = \
-                -e if rev * (-1) ** swaps < 0 else e
+            comps[tuple(1 << i for i in idx) + (0,)] = -e if _reverse_sign(idx) < 0 else e
     return TensorField(chart, frame, TensorSignature((1,) * k, 0), comps)
 
 
 def tensor_conjugate_breve(chart: Chart, frame: str,
                            field: MultivectorField) -> TensorField:
-    """breve(B)(A) = B . <A>_k, one grade-k slot."""
+    """breve(B)(A) = B . <A>_k, one grade-k slot.
+
+    On grade-k blades E_J . E_K = (-1)^{k(k-1)/2} det(g_{J,K}), the minor of
+    the frame Gram on rows J and columns K, so each component is a Leibniz
+    sum over the expression entries: k! terms per blade of B.
+    """
     if field.frame != frame:
         raise FrameMismatch("field must be expressed in the stated frame")
     k = _field_pure_grade(field)
-    n = chart.n
     gram = frame_gram_exprs(chart, frame)
+    perms = [(_reverse_sign(p), p) for p in itertools.permutations(range(k))]
     comps: dict = {}
-    for mask in (m for m in range(1 << n) if m.bit_count() == k):
-        val = bl.dot_generic(dict(field.components), {mask: 1.0}, gram, n).get(0)
+    for mask in (m for m in range(1 << chart.n) if m.bit_count() == k):
+        cols = bl.indices_of(mask)
+        val = None
+        for blade, b in field.components.items():
+            rows = bl.indices_of(blade)
+            for sign, p in perms:
+                term = b if sign > 0 else -b
+                for r, c in zip(rows, p):
+                    term = term * gram[r][cols[c]]
+                val = term if val is None else val + term
         if val is not None:
             comps[(mask, 0)] = val
     return TensorField(chart, frame, TensorSignature((k,), 0), comps)

@@ -292,6 +292,128 @@ class TestOutermorphism:
         assert abs(out.grad[0b11, 0] - 0.75) < 1e-15
 
 
+def _oracle_products(A, B, g):
+    """gp, dot and wedge of dense blade arrays under g from oracle_gp, with
+    g = Q diag(lam) Q^T by eigh, summed over the grade parts of A and B."""
+    lam, Q = np.linalg.eigh(g)
+    n = len(lam)
+    out = np.zeros((3, 1 << n))
+    for j, k in itertools.product(range(n + 1), repeat=2):
+        parts = [{tuple(blades.indices_of(m)): x[m] for m in range(1 << n)
+                  if m.bit_count() == grade and x[m]} for x, grade in ((A, j), (B, k))]
+        for idx, c in oracle_gp(*parts, Q, lam).items():
+            m = sum(1 << i for i in idx)
+            out[0, m] += c
+            out[1, m] += c if len(idx) == k - j else 0.0
+            out[2, m] += c if len(idx) == j + k else 0.0
+    return out
+
+
+class TestProductKernel:
+    def test_float_kernel_against_eigh_oracle(self):
+        rng = np.random.default_rng(151)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(2):
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                lam = rng.uniform(0.5, 2.0, n) * np.resize([-1.0, 1.0], n)
+                g = (q * lam) @ q.T
+                A, B = rng.normal(size=(2, 1 << n)) * (rng.random((2, 1 << n)) < 0.7)
+                want = _oracle_products(A, B, g)
+                for row, combine in enumerate(("gp", "dot", "wedge")):
+                    got = blades.product(g, A, B, combine)
+                    assert got.order == 0
+                    scale = max(1.0, np.max(np.abs(want[row])))
+                    assert np.max(np.abs(got.value - want[row])) < 1e-10 * scale
+
+    def test_array_gram_is_a_constant(self):
+        # an array Gram keeps every derivative of jet operands, in all three
+        # combines, as the same Gram held as a constant jet does
+        rng = np.random.default_rng(152)
+        n = 3
+        g = np.array([[1.0, 0.3, 0.0], [0.3, -1.0, 0.2], [0.0, 0.2, 2.0]])
+        A, B = (Jet(*(rng.normal(size=(1 << n,) + (2,) * o) for o in range(3)))
+                for _ in range(2))
+        for combine in ("gp", "dot", "wedge"):
+            got = blades.product(g, A, B, combine)
+            want = blades.product(Jet(g, np.zeros((n, n, 2)), np.zeros((n, n, 2, 2))),
+                                  A, B, combine)
+            assert got.order == 2
+            for a, b in zip(got.coeffs, want.coeffs):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name,frame,point", [
+        ("polar2", "skew", (0.9, 0.7)),
+        ("minkowski4", "coord", (0.2, -0.3, 0.5, 0.4)),
+    ])
+    def test_jet_kernel_against_central_differences(self, name, frame, point):
+        from gcalc.manifest import builtin
+        from gcalc.manifold import MultivectorField, frame_jets
+        from gcalc.mdd import field_jets
+
+        chart = builtin(name).chart
+        n = chart.n
+        c = chart.coords
+        fields = [MultivectorField.parse(chart, {
+            blades.key_of(m): f"{1 + m % 3}*{c[m % n]}*{c[(m + s) % n]} + {0.1 * m}"
+            for m in range(1 << n)}, frame) for s in (1, 2)]
+
+        def at(x, order):
+            return (frame_jets(chart, frame, x, order).gram,
+                    *(field_jets(f, x, order) for f in fields))
+
+        h = 1e-4
+        for combine in ("gp", "dot", "wedge"):
+            got = blades.product(*at(point, 2), combine)
+            assert got.order == 2
+
+            def value(*steps):
+                x = np.array(point) + h * sum(steps, np.zeros(n))
+                return blades.product(*(j.value for j in at(tuple(x), 0)),
+                                      combine).value
+
+            e = np.eye(n)
+            assert np.max(np.abs(got.value - value())) < 1e-13
+            for i in range(n):
+                grad = (value(e[i]) - value(-e[i])) / (2 * h)
+                assert np.max(np.abs(got.grad[:, i] - grad)) < 1e-6
+                for k in range(n):
+                    hess = (value(e[i], e[k]) - value(e[i], -e[k])
+                            - value(-e[i], e[k]) + value(-e[i], -e[k])) / (4 * h * h)
+                    assert np.max(np.abs(got.hess[:, i, k] - hess)) < 1e-5
+
+    def test_vector_product_on_eight_dimensions_stays_small(self):
+        # the 8^n structure-constant table would be 128 MB at n = 8; the
+        # kernel only forms the products of the vectors A holds
+        import tracemalloc
+
+        from gcalc.manifest import load_manifest
+        from gcalc.manifold import MultivectorField
+        from gcalc.mdd import field_jets, product_field
+
+        n = 8
+        coords = [f"x{i}" for i in range(n)]
+        chart = load_manifest({"name": "flat8", "coordinates": coords, "metric": [
+            ["1" if i == j else "0" for j in range(n)] for i in range(n)]}).chart
+        a, b = (MultivectorField.parse(chart, {
+            str(i + 1): f"{coords[i]}*{coords[(i + s) % n]} + {s}" for i in range(n)})
+            for s in (1, 3))
+        point = tuple(0.1 * (i + 1) for i in range(n))
+        tracemalloc.start()
+        try:
+            out = field_jets(product_field(chart, "coord", a, b), point, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        x = np.array(point)
+        va, vb = (x * np.roll(x, -s) + s for s in (1, 3))
+        assert out.order == 2
+        assert abs(out.value[0] - va @ vb) < 1e-13
+        for i, j in itertools.combinations(range(n), 2):
+            assert abs(out.value[(1 << i) | (1 << j)]
+                       - (va[i] * vb[j] - va[j] * vb[i])) < 1e-13
+
+
 class TestWedgeDotGrade:
     def test_wedge_basis(self):
         e1 = Multivector.basis_vector(3, 1)

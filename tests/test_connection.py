@@ -212,7 +212,7 @@ class TestDerivedCoefficients:
         for j in range(n):
             def recip_fn(p, order, j=j):
                 fj = frame_jets(chart, frame, p, order)
-                return from_blade_map({1 << l: fj.gram_inv[j][l]
+                return from_blade_map({1 << l: fj.gram_inv.take((j, l))
                                        for l in range(n)}, n, order)
 
             recip_field = DerivedField(frame, 2, recip_fn)

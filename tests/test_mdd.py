@@ -19,7 +19,7 @@ from gcalc.mdd import (DerivedField, add_fields, codifferential,
                        ext_d_field, field_jets, from_blade_map, grade_field,
                        gradient, gradient_field, mdd, mdd_along_basis,
                        product_field, reexpress_field, second_ops,
-                       to_blade_map, unit_pseudoscalar_field)
+                       unit_pseudoscalar_field)
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -161,24 +161,21 @@ class TestLeibniz:
 
 def _gram_route(spec, field, combine):
     """e^i (op) D_{e_i} field with e^i = g^{il} e_l multiplied through the
-    jet-valued frame Gram, the metric-laden form of the contraction."""
+    jet-valued frame Gram, the metric-laden form of the contraction.  The
+    product shares the gather tables of blade_tensors with the operators;
+    TestProductKernel holds it to an eigh-diagonalised oracle."""
     n = spec.n
 
     def fn(point, order):
         fj = frame_jets(spec.chart, spec.frame, point, order)
-        out: dict = {}
+        out = None
         for i in range(n):
-            di = to_blade_map(
-                field_jets(mdd_along_basis(spec, i, field), point, order))
-            recip = {1 << l: fj.gram_inv[i][l] for l in range(n)}
-            if combine == "gp":
-                part = bl.gp_generic(recip, di, fj.gram, n)
-            elif combine == "dot":
-                part = bl.dot_generic(recip, di, fj.gram, n)
-            else:
-                part = bl.wedge_generic(recip, di)
-            bl.add_into(out, part)
-        return from_blade_map(out, n, order)
+            di = field_jets(mdd_along_basis(spec, i, field), point, order)
+            recip = from_blade_map({1 << l: fj.gram_inv.take((i, l))
+                                    for l in range(n)}, n, order)
+            part = bl.product(fj.gram, recip, di, combine)
+            out = part if out is None else out + part
+        return out
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 

@@ -324,7 +324,7 @@ class TestDerivative:
             for i in range(2):
                 for j in range(2):
                     cj = ex.eval_jet(T.components[(1 << i, 1 << j, 0)], p, order)
-                    term = fj.gram_inv[i][j] * cj
+                    term = fj.gram_inv.take((i, j)) * cj
                     tot = term if tot is None else tot + term
             return from_blade_map({0: tot}, 2, order)
 
