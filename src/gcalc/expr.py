@@ -12,6 +12,11 @@ so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Identifiers are chart
 coordinates; call syntax is restricted to the function whitelist in
 :mod:`gcalc.jets`.  Expressions evaluate to plain floats or to jets carrying
 first and second derivatives.
+
+Trees deeper than 100 levels are refused.  The parser measures each
+subtree's height while it builds the nodes, so the limit costs no second
+walk; text is only an input format, and code that composes expressions
+should build trees with the node operators instead of formatting text.
 """
 
 from __future__ import annotations
@@ -122,23 +127,22 @@ _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+
 
 
 def _tokenize(text: str):
+    """(kind, text, position) tokens; group 1 is a number, 2 a name, 3 any
+    other single character.  A tail of newlines matches nothing and is
+    skipped, as the pattern's ``.`` does not match a newline."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        start = m.start(1) if m.group(1) else (m.start(2) if m.group(2) else m.start(3))
-        if m.group(1):
-            tokens.append(("num", m.group(1), start))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), start))
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        tok, start = m.group(group), m.start(group)
+        if group == 1:
+            kind = "num"
+        elif group == 2:
+            kind = "name"
+        elif tok in "+-*/^(),":
+            kind = tok
         else:
-            ch = m.group(3)
-            if ch not in "+-*/^(),":
-                raise ParseError(f"unexpected character {ch!r}", start)
-            tokens.append((ch, ch, start))
-        pos = m.end()
+            raise ParseError(f"unexpected character {tok!r}", start)
+        tokens.append((kind, tok, start))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -148,20 +152,11 @@ def _tokenize(text: str):
 _MAX_DEPTH = 100
 
 
-def _height(node: Expr) -> int:
-    """Levels in an expression tree, counted without recursion."""
-    height, stack = 0, [(node, 1)]
-    while stack:
-        e, level = stack.pop()
-        height = max(height, level)
-        stack.extend((c, level + 1) for c in (getattr(e, f) for f in e.__slots__)
-                     if isinstance(c, Expr))
-    return height
-
-
 class _Parser:
+    """Recursive descent; every rule returns ``(node, height)``, the height
+    counting the levels of the subtree it built (a leaf is one level)."""
+
     def __init__(self, text: str, coords):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -182,74 +177,77 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, height = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        if _height(node) > _MAX_DEPTH:
+        if height > _MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", 0)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
+    def expr(self):
+        node, height = self.term()
+        while (op := self.peek()[0]) in ("+", "-"):
+            self.pos += 1
+            rhs, h = self.term()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            height = 1 + max(height, h)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
+    def term(self):
+        node, height = self.unary()
+        while (op := self.peek()[0]) in ("*", "/"):
+            self.pos += 1
+            rhs, h = self.unary()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            height = 1 + max(height, h)
+        return node, height
 
-    def unary(self) -> Expr:
+    def unary(self):
         # every recursive rule passes through here, so this bounds the recursion
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
                              self.peek()[2])
         if self.peek()[0] == "-":
-            self.take()
-            node = Neg(self.unary())
+            self.pos += 1
+            node, height = self.unary()
+            node, height = Neg(node), height + 1
         else:
-            node = self.power()
+            node, height = self.power()
         self.depth -= 1
-        return node
+        return node, height
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self):
+        node, height = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            return Pow(node, self.unary())
-        return node
+            self.pos += 1
+            expo, h = self.unary()
+            return Pow(node, expo), 1 + max(height, h)
+        return node, height
 
-    def atom(self) -> Expr:
-        tok = self.take()
-        kind, text, at = tok
+    def atom(self):
+        kind, text, at = self.take()
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ParseError(f"number {text!r} is out of range", at)
-            return Num(value)
+            return Num(value), 1
         if kind == "name":
             if self.peek()[0] == "(":
                 if text not in FUNCTIONS:
                     raise UnknownIdentifier(text, at)
-                self.take()
-                arg = self.expr()
+                self.pos += 1
+                arg, height = self.expr()
                 self.expect(")")
-                return Call(text, arg)
+                return Call(text, arg), height + 1
             if text in self.coords:
-                return Coord(self.coords[text])
+                return Coord(self.coords[text]), 1
             raise UnknownIdentifier(text, at)
         if kind == "(":
-            node = self.expr()
+            node, height = self.expr()
             self.expect(")")
-            return node
+            return node, height
         raise ParseError("expected an expression", at)
 
 

@@ -94,18 +94,19 @@ def _random_vec(rng, n):
 
 
 def _rand_scalar_expr(rng, chart):
-    """Random smooth scalar expression text in the chart coordinates."""
-    c = chart.coords
+    """Random smooth scalar expression tree in the chart coordinates:
+    c0 + c1*u + c2*v*w + c3*f(z), with f one of sin and cos."""
+
+    def num():
+        return ex.Num(_rc(rng))
 
     def coord():
-        return c[int(rng.integers(0, len(c)))]
+        return ex.Coord(int(rng.integers(0, chart.n)))
 
-    terms = [repr(_rc(rng)),
-             f"{_rc(rng)!r}*{coord()}",
-             f"{_rc(rng)!r}*{coord()}*{coord()}"]
+    # operands are evaluated left to right, so rng is drawn in reading order
+    tree = num() + num() * coord() + num() * coord() * coord()
     fn = ("sin", "cos")[int(rng.integers(0, 2))]
-    terms.append(f"{_rc(rng)!r}*{fn}({coord()})")
-    return " + ".join(terms)
+    return tree + num() * ex.Call(fn, coord())
 
 
 def _rand_field(rng, chart, grades=None, frame="coord"):
@@ -129,9 +130,9 @@ def _rand_chi(rng, chart):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                text = f"{_rc(rng)!r} + {_rc(rng)!r}*{chart.coords[0]}"
-                entries.append((i, j, k, text))
-                entries.append((i, k, j, f"-({text})"))
+                e = ex.Num(_rc(rng)) + ex.Num(_rc(rng)) * ex.Coord(0)
+                entries.append((i, j, k, e))
+                entries.append((i, k, j, -e))
     return tuple(entries)
 
 
@@ -425,7 +426,7 @@ def _chk_lie_bilinear(rng, samples):
         fb = [_rand_scalar_expr(rng, chart) for _ in range(n)]
         fc = [_rand_scalar_expr(rng, chart) for _ in range(n)]
         al, be = _rc(rng), _rc(rng)
-        combo = [f"{al!r}*({a}) + {be!r}*({b})" for a, b in zip(fa, fb)]
+        combo = [ex.Num(al) * a + ex.Num(be) * b for a, b in zip(fa, fb)]
         lhs = lie_bracket(chart, combo, fc, point)
         rhs = al * lie_bracket(chart, fa, fc, point) \
             + be * lie_bracket(chart, fb, fc, point)
@@ -451,7 +452,7 @@ def _nested_bracket(chart, fa, fb, fc, point, h=1e-3):
     """[a, [b, c]] with the inner bracket differentiated by central FD,
     Richardson extrapolated once to push truncation below 1e-10."""
     n = chart.n
-    a_jets = [ex.eval_jet(chart.parse(t), point, 1) for t in fa]
+    a_jets = [ex.eval_jet(t, point, 1) for t in fa]
     inner0 = lie_bracket(chart, fb, fc, point)
 
     def central(l, step):
@@ -495,12 +496,12 @@ def _chk_lie_multipliers(rng, samples):
         fb = [_rand_scalar_expr(rng, chart) for _ in range(n)]
         al_t = _rand_scalar_expr(rng, chart)
         be_t = _rand_scalar_expr(rng, chart)
-        lhs = lie_bracket(chart, [f"({al_t})*({t})" for t in fa],
-                          [f"({be_t})*({t})" for t in fb], point)
-        a_vals = np.array([ex.eval_value(chart.parse(t), point) for t in fa])
-        b_vals = np.array([ex.eval_value(chart.parse(t), point) for t in fb])
-        al = ex.eval_jet(chart.parse(al_t), point, 1)
-        be = ex.eval_jet(chart.parse(be_t), point, 1)
+        lhs = lie_bracket(chart, [al_t * t for t in fa], [be_t * t for t in fb],
+                          point)
+        a_vals = np.array([ex.eval_value(t, point) for t in fa])
+        b_vals = np.array([ex.eval_value(t, point) for t in fb])
+        al = ex.eval_jet(al_t, point, 1)
+        be = ex.eval_jet(be_t, point, 1)
         da_beta = float(np.dot(a_vals, be.grad))
         db_alpha = float(np.dot(b_vals, al.grad))
         rhs = al.value * da_beta * b_vals - be.value * db_alpha * a_vals \
@@ -560,6 +561,8 @@ def _chk_coordinate_duality(rng, samples):
     e(x_i) . dy^j must equal the Jacobian entry dy^j/dx^i."""
     chart = _chart("polar2")
     spec = levi_civita(chart, "coord")
+    cartesian = [MultivectorField.scalar(chart, text)
+                 for text in ("r*cos(theta)", "r*sin(theta)")]
     dev = 0.0
     for _ in range(samples):
         point = sample_point(chart, rng)
@@ -567,8 +570,8 @@ def _chk_coordinate_duality(rng, samples):
         jac = np.array([[np.cos(th), np.sin(th)],
                         [-r * np.sin(th), r * np.cos(th)]])
         g = as_gram(eval_frame(chart, "coord", point).gram)
-        for j, text in enumerate(("r*cos(theta)", "r*sin(theta)")):
-            gmv = md.gradient(spec, MultivectorField.scalar(chart, text), point)
+        for j, field in enumerate(cartesian):
+            gmv = md.gradient(spec, field, point)
             for i in range(2):
                 e_i = Multivector(2, {1 << i: 1.0})
                 got = dot(e_i, gmv, g)[0]
@@ -669,10 +672,9 @@ def _chk_contorsion_operator(rng, samples):
                               if bl.grade_of(m) != k})
         dev = max(dev, off.norm_inf() / max(1.0, qa.norm_inf()))
         phi_t = _rand_scalar_expr(rng, chart)
-        phi = ex.eval_value(chart.parse(phi_t), point)
-        scaled = MultivectorField(
-            frame, {m: chart.parse(f"({phi_t})*({ex.to_text(c, chart.coords)})")
-                    for m, c in A.components.items()})
+        phi = ex.eval_value(phi_t, point)
+        scaled = MultivectorField(frame, {m: phi_t * c
+                                          for m, c in A.components.items()})
         dev = max(dev, _rel_mv(contorsion_apply(spec, lc, a, scaled, point),
                                phi * qa))
         sc = MultivectorField.scalar(chart, phi_t, frame)
@@ -807,8 +809,7 @@ def _transformed_chi(chart, dst_frame, chi_entries):
     n = chart.n
     rows = chart.frame_rows(dst_frame)
     dense = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k, text) in chi_entries:
-        e = chart.parse(text)
+    for (i, j, k, e) in chi_entries:
         cur = dense[i - 1][j - 1][k - 1]
         dense[i - 1][j - 1][k - 1] = e if cur is None else cur + e
     out = []

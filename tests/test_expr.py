@@ -101,6 +101,93 @@ class TestPrintRoundTrip:
         assert parse(to_text(tree, ["x", "y"]), ["x", "y"]) == tree
 
 
+def _levels(node):
+    """Reference tree height: a leaf is one level."""
+    children = [getattr(node, f) for f in node.__slots__]
+    return 1 + max((_levels(c) for c in children if isinstance(c, expr.Expr)),
+                   default=0)
+
+
+_DEPTH_MESSAGE = "expression nests deeper than 100 levels"
+
+
+def _chain(levels):
+    return "x" + " + x" * (levels - 1)
+
+
+def _nested(opener, levels):
+    return opener * (levels - 1) + "x" + ")" * (levels - 1)
+
+
+class TestDepthLimit:
+    def test_height_measured_while_building(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            tree = _random_tree(rng, 6)
+            node, height = expr._Parser(to_text(tree, COORDS), COORDS).expr()
+            assert node == tree
+            assert height == _levels(tree)
+
+    # (text of n levels, deepest n accepted, its tree height, position of
+    # the error one level deeper).  A flat chain is a tall tree built without
+    # deep recursion, so the height check after the whole text is read refuses
+    # it, at position 0.  Nesting in the text meets the recursion guard first,
+    # at the token one level too deep; "-(" takes two recursion steps a level.
+    @pytest.mark.parametrize("build, deepest, height, position", [
+        (_chain, 100, 100, 0),
+        (lambda n: _nested("(", n), 100, 1, 100),
+        (lambda n: _nested("-(", n), 50, 50, 100),
+        (lambda n: "^".join(["x"] * n), 100, 100, 200),
+        (lambda n: _nested("sin(", n), 100, 100, 400),
+    ], ids=["chain", "parentheses", "negation", "power", "call"])
+    def test_limit_and_position(self, build, deepest, height, position):
+        assert _levels(parse(build(deepest), ["x"])) == height
+        with pytest.raises(ParseError) as err:
+            parse(build(deepest + 1), ["x"])
+        assert str(err.value) == f"{_DEPTH_MESSAGE} (at position {position})"
+        assert err.value.position == position
+
+    def test_trailing_token_reported_before_height(self):
+        with pytest.raises(ParseError) as err:
+            parse(_chain(101) + " )", ["x"])
+        assert err.value.position == len(_chain(101)) + 1
+        assert "unexpected ')'" in str(err.value)
+
+
+class TestTokenize:
+    @pytest.mark.parametrize("text, tokens", [
+        ("x\n", [("name", "x", 0), ("end", "", 2)]),
+        ("x\n\n", [("name", "x", 0), ("end", "", 3)]),
+        ("  x", [("name", "x", 2), ("end", "", 3)]),
+        (".5", [("num", ".5", 0), ("end", "", 2)]),
+        ("1.", [("num", "1.", 0), ("end", "", 2)]),
+        ("1e-3", [("num", "1e-3", 0), ("end", "", 4)]),
+        ("1.e5", [("num", "1.e5", 0), ("end", "", 4)]),
+        ("1e", [("num", "1", 0), ("name", "e", 1), ("end", "", 2)]),
+        ("sin(x)^2", [("name", "sin", 0), ("(", "(", 3), ("name", "x", 4),
+                      (")", ")", 5), ("^", "^", 6), ("num", "2", 7),
+                      ("end", "", 8)]),
+    ])
+    def test_tokens(self, text, tokens):
+        assert expr._tokenize(text) == tokens
+
+    # the pattern's "." matches any character but a newline, so trailing
+    # blanks other than newlines are read as an unexpected character
+    @pytest.mark.parametrize("text, char, position", [
+        ("x  ", " ", 2),
+        ("x\t", "\t", 1),
+        ("x \n", " ", 1),
+        ("x\n ", " ", 2),
+        ("x + $y", "$", 4),
+        ("x@", "@", 1),
+    ])
+    def test_errors(self, text, char, position):
+        with pytest.raises(ParseError) as err:
+            expr._tokenize(text)
+        assert str(err.value) == \
+            f"unexpected character {char!r} (at position {position})"
+
+
 class TestJets:
     def test_product_jet(self):
         j = eval_jet(parse("x*y", ["x", "y"]), (2.0, 3.0), 2)
