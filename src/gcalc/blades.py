@@ -238,12 +238,6 @@ def outermorphism(M, x) -> Jet:
     return Jet(*out)
 
 
-def prune(mv: dict, tol: float = 0.0) -> dict:
-    """Drop exact (or below-tol) zero float coefficients; jets are kept."""
-    return {m: c for m, c in mv.items()
-            if not (isinstance(c, (int, float)) and abs(c) <= tol)}
-
-
 def grade_select(mv: dict, k: int) -> dict:
     return {m: c for m, c in mv.items() if m.bit_count() == k}
 

@@ -7,7 +7,12 @@ The Levi-Civita coefficients come from the standard form
 
 with dg_i the directional derivative along frame vector e_i and L the Lie
 coefficients.  A metric-compatible connection is then Gamma = Gbar + chi for
-any contorsion chi antisymmetric in its last two slots.
+any contorsion chi antisymmetric in its last two slots.  Its torsion
+
+    tau(a, b) = D_a b - D_b a - [a, b]
+
+takes the bracket of :func:`gcalc.manifold.bracket` on the coordinate
+components a^i F_i^k of the two fields; it is zero for Levi-Civita.
 
 Coefficients are whole-array jets (:mod:`gcalc.jets`) computed from the
 array-jet frame data, so the same formula yields values or first
@@ -25,8 +30,8 @@ import numpy as np
 from . import expr as ex
 from .errors import FrameMismatch, InvalidContorsion
 from .jets import Jet, contract
-from .manifold import (Chart, FrameAt, FrameJets, MultivectorField, eval_frame,
-                       frame_jets)
+from .manifold import (Chart, FrameAt, FrameJets, MultivectorField, bracket,
+                       eval_frame, frame_jets)
 
 _CHI_TOL = 1e-10
 
@@ -94,13 +99,13 @@ def gamma_jets(spec: ConnSpec, point: tuple, order: int) -> GammaJets:
 def _chi_jets(spec: ConnSpec, point: tuple, order: int) -> Jet:
     """The contorsion as a jet, after the range and antisymmetry checks."""
     n = spec.n
-    flat = [Jet.constant(0.0, n, order)] * n ** 3
+    coeffs = [np.zeros((n, n, n) + (n,) * d) for d in range(order + 1)]
     for (i, j, k, e) in spec.chi:
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             raise InvalidContorsion(f"contorsion index ({i},{j},{k}) out of range")
-        at = ((i - 1) * n + j - 1) * n + k - 1
-        flat[at] = flat[at] + ex.eval_jet(e, point, order)
-    chi = Jet.stack(flat, (n, n, n))
+        for c, part in zip(coeffs, ex.eval_jet(e, point, order).coeffs):
+            c[i - 1, j - 1, k - 1] += part
+    chi = Jet(*coeffs)
     scale = max(1.0, float(np.max(np.abs(chi.value))))
     dev = np.abs(chi.value + chi.value.transpose(0, 2, 1))
     bad = np.argwhere(dev > _CHI_TOL * scale)
@@ -164,23 +169,19 @@ def torsion(chart: Chart, frame: str, field_a, field_b, point, chi=None) -> np.n
     n = chart.n
     fa = MultivectorField.vector(chart, field_a, frame)
     fb = MultivectorField.vector(chart, field_b, frame)
-
-    a = Jet.stack([ex.eval_jet(fa.components.get(1 << i, ex.Num(0.0)), point, 1)
-                   for i in range(n)], (n,))
-    b = Jet.stack([ex.eval_jet(fb.components.get(1 << i, ex.Num(0.0)), point, 1)
-                   for i in range(n)], (n,))
+    ex.check_point(point, n)
+    a, b = (Jet.stack([ex.eval_jet(e, point, 1) for e in f.components.values()], (n,))
+            for f in (fa, fb))
 
     dab = _mdd.mdd(spec, a.value, fb, point)
     dba = _mdd.mdd(spec, b.value, fa, point)
 
-    # [a, b] via coordinate components a_coord^k = a^i F_i^k
+    # [a, b] on the coordinate components a^i F_i^k, read back in the frame
     F = frame_jets(chart, frame, point, 1).F
-    a_coord = contract("i,ik->k", a, F)
-    b_coord = contract("i,ik->k", b, F)
-    bracket = b_coord.grad @ a_coord.value - a_coord.grad @ b_coord.value
-    bracket_frame = np.linalg.solve(F.value.T, bracket)
+    ab = bracket(contract("i,ik->k", a, F), contract("i,ik->k", b, F)).value
+    ab_frame = np.linalg.solve(F.value.T, ab)
 
-    return np.array([dab[1 << i] - dba[1 << i] for i in range(n)]) - bracket_frame
+    return np.array([dab[1 << i] - dba[1 << i] for i in range(n)]) - ab_frame
 
 
 def contorsion_apply(conn_d: ConnSpec, conn_nabla: ConnSpec, a, field, point):

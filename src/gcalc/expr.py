@@ -123,13 +123,13 @@ def as_expr(x) -> Expr:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+                    r"|([A-Za-z_][A-Za-z_0-9]*)|(\S))")
 
 
 def _tokenize(text: str):
     """(kind, text, position) tokens; group 1 is a number, 2 a name, 3 any
-    other single character.  A tail of newlines matches nothing and is
-    skipped, as the pattern's ``.`` does not match a newline."""
+    other single non-blank character.  A tail of blanks matches nothing and
+    is skipped."""
     tokens = []
     for m in _TOKEN.finditer(text):
         group = m.lastindex
@@ -204,19 +204,21 @@ class _Parser:
         return node, height
 
     def unary(self):
-        # every recursive rule passes through here, so this bounds the recursion
+        # every recursive rule passes through here, so this bounds the
+        # recursion; a run of signs is read in a loop, one step for all of it
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels",
                              self.peek()[2])
-        if self.peek()[0] == "-":
+        signs = 0
+        while self.peek()[0] == "-":
             self.pos += 1
-            node, height = self.unary()
-            node, height = Neg(node), height + 1
-        else:
-            node, height = self.power()
+            signs += 1
+        node, height = self.power()
+        for _ in range(signs):
+            node = Neg(node)
         self.depth -= 1
-        return node, height
+        return node, height + signs
 
     def power(self):
         node, height = self.atom()

@@ -92,11 +92,11 @@ def form_d(form):
                 if res is None:
                     continue
                 sign, new_mask = res
-                term = cj.partial(i)
+                term = cj.partials().take(i)
                 if sign < 0:
                     term = -term
                 bl.add_into(out, {new_mask: term})
-        return bl.prune(out)
+        return out
 
     return DerivedForm(form.chart, form.degree + 1, form.budget - 1, fn)
 
@@ -109,7 +109,7 @@ def form_wedge(a, b):
     def fn(point, order):
         ca = form_jets(a, point, order)
         cb = form_jets(b, point, order)
-        return bl.prune(bl.wedge_generic(ca, cb))
+        return bl.wedge_generic(ca, cb)
 
     return DerivedForm(a.chart, a.degree + b.degree,
                        min(a.budget, b.budget), fn)

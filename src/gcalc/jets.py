@@ -89,14 +89,6 @@ class Jet:
         columns = zip(*(j.coeffs[:order + 1] for j in jets))
         return Jet(*(np.array(c).reshape(shape + np.shape(c[0])) for c in columns))
 
-    def partial(self, k: int) -> "Jet":
-        """The k-th partial derivative of a scalar jet, one order lower."""
-        if self.grad is None:
-            raise DomainError("cannot differentiate an order-0 jet")
-        if self.hess is None:
-            return Jet(float(self.grad[k]))
-        return Jet(float(self.grad[k]), self.hess[k].copy())
-
     def partials(self) -> "Jet":
         """All partial derivatives as one jet of shape S+(n,), one order
         lower: entry [..., k] is the k-th partial of entry [...]."""

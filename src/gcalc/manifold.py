@@ -12,9 +12,15 @@ once, and each derived quantity is one contraction or one closed-form
 inverse, so the same code yields plain numbers or first/second derivative
 information as needed by the derivative operators.
 
-Lie coefficients follow the commutator of frame vector fields,
+The Lie bracket of two vector fields given by coordinate components is
 
-    [e_i, e_j] = (F_i^l d_l F_j^k - F_j^l d_l F_i^k) d/dx^k,
+    [a, b]^k = a^l d_l b^k - b^l d_l a^k,
+
+which :func:`bracket` takes on (n,) vector jets, returning a jet one order
+lower; from order-2 jets it keeps the first derivatives that a nested
+bracket [a, [b, c]] needs.  The Lie coefficients of a frame are the same
+formula on all pairs of frame vector fields at once,
+
     L_ijk = [e_i, e_j] . e_k,
 
 which vanish exactly on coordinate frames.
@@ -34,14 +40,6 @@ from .jets import Jet, contract, mat_det_inv
 
 _ORTHO_TOL = 1e-10
 _HOLO_TOL = 1e-10
-
-
-def _parse_matrix(rows, coords):
-    out = []
-    for row in rows:
-        out.append(tuple(ex.parse(e, coords) if isinstance(e, str) else ex.as_expr(e)
-                         for e in row))
-    return tuple(out)
 
 
 @dataclass(eq=False)
@@ -65,25 +63,22 @@ class Chart:
     def __post_init__(self):
         self.coords = tuple(self.coords)
         n = len(self.coords)
-        self.metric = _parse_matrix(self.metric, self.coords)
+        self.metric = self._parse_rows(self.metric)
         if len(self.metric) != n or any(len(r) != n for r in self.metric):
             raise DimMismatch("metric must be n by n")
         frames = {}
         for fname, rows in self.frames.items():
             if isinstance(rows, str) and rows == "identity":
                 continue
-            frames[fname] = _parse_matrix(rows, self.coords)
+            frames[fname] = self._parse_rows(rows)
             if len(frames[fname]) != n or any(len(r) != n for r in frames[fname]):
                 raise DimMismatch(f"frame {fname!r} must be n by n")
         eye = tuple(tuple(ex.Num(1.0 if i == j else 0.0) for j in range(n))
                     for i in range(n))
         frames.setdefault("coord", eye)
         self.frames = frames
-        cont = []
-        for (i, j, k, e) in self.contorsion:
-            cont.append((int(i), int(j), int(k),
-                         ex.parse(e, self.coords) if isinstance(e, str) else ex.as_expr(e)))
-        self.contorsion = tuple(cont)
+        self.contorsion = tuple((int(i), int(j), int(k), self.parse(e))
+                                for (i, j, k, e) in self.contorsion)
         if not self.domain:
             self.domain = tuple((-1.0, 1.0) for _ in range(n))
         else:
@@ -103,6 +98,9 @@ class Chart:
 
     def parse(self, text):
         return ex.parse(text, self.coords) if isinstance(text, str) else ex.as_expr(text)
+
+    def _parse_rows(self, rows) -> tuple:
+        return tuple(tuple(self.parse(e) for e in row) for row in rows)
 
 
 @dataclass
@@ -202,18 +200,16 @@ def classify_frame(frame_at: FrameAt) -> dict:
 
 
 def dirderiv_scalar(chart: Chart, frame_at: FrameAt, a, phi) -> float:
-    """Directional derivative along a = a^i e_i of a scalar expression."""
-    phi = chart.parse(phi)
-    jet = ex.eval_jet(phi, frame_at.point, 1)
-    n = chart.n
-    total = 0.0
-    for i in range(n):
-        ai = float(a[i])
-        if ai == 0.0:
-            continue
-        for k in range(n):
-            total += ai * frame_at.rows[i, k] * jet.grad[k]
-    return total
+    """Directional derivative along a = a^i e_i of a scalar expression:
+    a^i F_i^k d_k phi."""
+    jet = ex.eval_jet(chart.parse(phi), frame_at.point, 1)
+    return float(np.asarray(a, dtype=float) @ frame_at.rows @ jet.grad)
+
+
+def bracket(a: Jet, b: Jet) -> Jet:
+    """[a, b]^k = a^l d_l b^k - b^l d_l a^k on (n,) vector jets of coordinate
+    components; the result is one order lower than the lower of the two."""
+    return contract("l,kl->k", a, b.partials()) - contract("l,kl->k", b, a.partials())
 
 
 def lie_bracket(chart: Chart, field_a, field_b, point) -> np.ndarray:
@@ -221,12 +217,10 @@ def lie_bracket(chart: Chart, field_a, field_b, point) -> np.ndarray:
     point = tuple(float(p) for p in point)
     n = chart.n
     ex.check_point(point, n)
-    a = [ex.eval_jet(chart.parse(c), point, 1) for c in field_a]
-    b = [ex.eval_jet(chart.parse(c), point, 1) for c in field_b]
+    a, b = ([ex.eval_jet(chart.parse(c), point, 1) for c in f] for f in (field_a, field_b))
     if len(a) != n or len(b) != n:
         raise DimMismatch("vector fields must have n components")
-    a, b = Jet.stack(a, (n,)), Jet.stack(b, (n,))
-    return b.grad @ a.value - a.grad @ b.value
+    return bracket(Jet.stack(a, (n,)), Jet.stack(b, (n,))).value
 
 
 def sample_point(chart: Chart, rng) -> tuple:
@@ -272,5 +266,7 @@ class MultivectorField:
 
     @staticmethod
     def vector(chart: Chart, comps, frame: str = "coord") -> "MultivectorField":
+        if len(comps) != chart.n:
+            raise DimMismatch("vector fields must have n components")
         return MultivectorField(frame, {1 << i: chart.parse(c)
                                         for i, c in enumerate(comps)})

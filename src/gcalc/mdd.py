@@ -46,14 +46,10 @@ import numpy as np
 from . import blades as bl
 from . import expr as ex
 from .algebra import Multivector
-from .connection import ConnectionAt, ConnSpec, gamma_jets, levi_civita
+from .connection import ConnSpec, gamma_jets, levi_civita
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import Jet, apply_function, contract, mat_det_inv, value_of
 from .manifold import Chart, MultivectorField, frame_jets
-
-
-def _as_spec(conn) -> ConnSpec:
-    return conn.spec if isinstance(conn, ConnectionAt) else conn
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,6 @@ def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
     """D_{e_i} field as a new field (budget drops by one)."""
-    spec = _as_spec(spec)
     _check_operand(spec, field)
     if not 0 <= i < spec.n:
         raise FrameMismatch(f"basis direction {i} out of range for n={spec.n}")
@@ -159,7 +154,6 @@ def mdd_along_basis(spec, i: int, field) -> DerivedField:
 
 def mdd(spec, a, field, point) -> Multivector:
     """D_a field at a point, for a vector a given in frame components."""
-    spec = _as_spec(spec)
     _check_operand(spec, field)
     point = tuple(float(p) for p in point)
     n = spec.n
@@ -175,7 +169,6 @@ def mdd(spec, a, field, point) -> Multivector:
 
 def _contract_field(spec, field, combine: str) -> DerivedField:
     """Sum over i of e^i (op) D_{e_i} field, op in {gp, dot, wedge}."""
-    spec = _as_spec(spec)
     _check_operand(spec, field)
     n = spec.n
 
@@ -278,7 +271,6 @@ def dual_field(chart: Chart, frame: str, field) -> DerivedField:
 
 def codifferential_via_dual(spec, field, point) -> Multivector:
     """The dual-sandwich route dual(d(dual(A))) for sign cross-checks."""
-    spec = _as_spec(spec)
     chart, frame = spec.chart, spec.frame
     inner = dual_field(chart, frame, field)
     der = ext_d_field(chart, frame, inner)
@@ -300,7 +292,6 @@ def second_ops(spec, field, point, a=None) -> dict:
     gp_gp only when the frame is covariantly constant.  ``directional``
     (when a is given) is D_a A.
     """
-    spec = _as_spec(spec)
     point = tuple(float(p) for p in point)
     n = spec.n
     g1 = gradient_field(spec, field)

@@ -28,9 +28,10 @@ from .connection import (conn_spec, connection_at, contorsion_apply,
                          levi_civita, mixed_gamma)
 from .errors import GcalcError, DomainError
 from .forms import FormField, form_add, form_d, form_eval, form_wedge, hat_map, unhat
+from .jets import Jet
 from .manifest import builtin
-from .manifold import (Chart, MultivectorField, dirderiv_scalar, eval_frame,
-                       frame_jets, lie_bracket, sample_point)
+from .manifold import (Chart, MultivectorField, bracket, dirderiv_scalar,
+                       eval_frame, frame_jets, lie_bracket, sample_point)
 from .mdd import DerivedField, eval_field
 from .tensor import (TensorField, TensorSignature, change_of_frame_matrix,
                      conjugate_derivative_check, contorsion_tensor,
@@ -448,26 +449,12 @@ def _chk_lie_antisymmetric(rng, samples):
     return dev, samples, None
 
 
-def _nested_bracket(chart, fa, fb, fc, point, h=1e-3):
-    """[a, [b, c]] with the inner bracket differentiated by central FD,
-    Richardson extrapolated once to push truncation below 1e-10."""
-    n = chart.n
-    a_jets = [ex.eval_jet(t, point, 1) for t in fa]
-    inner0 = lie_bracket(chart, fb, fc, point)
-
-    def central(l, step):
-        up = lie_bracket(chart, fb, fc, _shifted(point, {l: step}))
-        dn = lie_bracket(chart, fb, fc, _shifted(point, {l: -step}))
-        return (up - dn) / (2 * step)
-
-    dh = np.zeros((n, n))
-    for l in range(n):
-        dh[l] = (4.0 * central(l, h / 2) - central(l, h)) / 3.0
-    out = np.zeros(n)
-    for k in range(n):
-        out[k] = sum(a_jets[l].value * dh[l, k] - inner0[l] * a_jets[k].grad[l]
-                     for l in range(n))
-    return out
+def _nested_bracket(chart, fa, fb, fc, point):
+    """[a, [b, c]] exactly: the inner bracket of order-2 jets keeps the first
+    derivatives that the outer bracket takes."""
+    a, b, c = (Jet.stack([ex.eval_jet(t, point, 2) for t in f], (chart.n,))
+               for f in (fa, fb, fc))
+    return bracket(a, bracket(b, c)).value
 
 
 def _chk_lie_jacobi(rng, samples):

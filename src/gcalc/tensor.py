@@ -74,7 +74,7 @@ class TensorField:
                 if bl.grade_of(mask) != k:
                     raise SlotGradeError(
                         f"blade {bl.key_of(mask)!r} in key {key} is not grade {k}")
-            comps[key] = self.chart.parse(e) if isinstance(e, str) else ex.as_expr(e)
+            comps[key] = self.chart.parse(e)
         self.components = comps
 
     @property
@@ -211,7 +211,8 @@ def tensor_derivative_chain(spec: ConnSpec, T: TensorField, a, arg_fields,
 def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.ndarray:
     """D_i T_{j...} for all-grade-1-slot, scalar-output tensor fields.
 
-    Shape (n,) * (rank + 1); first index is the derivative direction.
+    Shape (n,) * (rank + 1); first index is the derivative direction:
+    F_ik d_k T_{j...} minus, for each slot s, Gamma_{i j_s}^l T_{...l...}.
     """
     sig = T.signature
     if sig.output != 0 or any(k != 1 for k in sig.inputs):
@@ -223,30 +224,14 @@ def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.nd
     n = T.n
     rank = sig.rank
     gj = gamma_jets(spec, point, 0)
-    F = gj.frame.F.value.tolist()
-    mixed = gj.mixed.value.tolist()
-
-    comp_jets = {}
-    for idx in itertools.product(range(n), repeat=rank):
-        key = tuple(1 << j for j in idx) + (0,)
-        e = T.components.get(key)
-        comp_jets[idx] = ex.eval_jet(e, point, 1) if e is not None else None
-
-    out = np.zeros((n,) * (rank + 1))
-    for i in range(n):
-        for idx in itertools.product(range(n), repeat=rank):
-            cj = comp_jets[idx]
-            val = 0.0
-            if cj is not None:
-                val = sum(F[i][k] * cj.grad[k] for k in range(n))
-            for s in range(rank):
-                for l in range(n):
-                    sub = idx[:s] + (l,) + idx[s + 1:]
-                    cl = comp_jets[sub]
-                    if cl is None:
-                        continue
-                    val -= mixed[i][idx[s]][l] * cl.value
-            out[(i,) + idx] = val
+    comps = Jet.stack([ex.eval_jet(T.components.get(tuple(1 << j for j in idx) + (0,),
+                                                    ex.Num(0.0)), point, 1)
+                       for idx in itertools.product(range(n), repeat=rank)], (n,) * rank)
+    out = np.tensordot(gj.frame.F.value, comps.grad, axes=([1], [rank]))
+    for s in range(rank):
+        # [i, j_s, j...without s]: Gamma_{i j_s}^l T_{...l...}, j_s moved to slot s
+        term = np.tensordot(gj.mixed.value, comps.value, axes=([2], [s]))
+        out -= np.moveaxis(term, 1, 1 + s)
     return out
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcalc import expr as ex
-from gcalc.connection import (conn_spec, connection_at, contorsion_apply,
-                              levi_civita, mixed_gamma, reciprocal_gamma,
-                              torsion)
-from gcalc.errors import InvalidContorsion
+from gcalc.connection import (_chi_jets, conn_spec, connection_at,
+                              contorsion_apply, levi_civita, mixed_gamma,
+                              reciprocal_gamma, torsion)
+from gcalc.errors import DimMismatch, DomainError, InvalidContorsion
 from gcalc.manifest import builtin
 from gcalc.manifold import Chart, MultivectorField, eval_frame
 from gcalc.mdd import (DerivedField, eval_field, from_blade_map, mdd,
@@ -177,6 +177,54 @@ class TestDefiningIdentities:
                           chi=((1, 2, 2, "theta"), (1, 2, 2, "theta")))
 
 
+class TestContorsionJets:
+    POINT = (0.9, 0.4)
+
+    def chi(self, entries, order=2):
+        return _chi_jets(conn_spec(SPHERE, "coord", entries), self.POINT, order)
+
+    def test_levi_civita_is_zero(self):
+        chi = self.chi(())
+        assert chi.order == 2
+        for c, shape in zip(chi.coeffs, ((2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2))):
+            assert c.shape == shape and not c.any()
+
+    def test_entries_add_up_at_their_slots(self):
+        theta, phi = self.POINT
+        chi = self.chi(((2, 1, 2, "theta*phi"), (2, 2, 1, "-theta*phi"),
+                        (2, 1, 2, "phi^2"), (2, 2, 1, "-phi^2")))
+        want = np.zeros((2, 2, 2))
+        want[1, 0, 1] = theta * phi + phi * phi
+        want[1, 1, 0] = -want[1, 0, 1]
+        assert np.allclose(chi.value, want, rtol=0, atol=1e-15)
+        assert np.allclose(chi.grad[1, 0, 1], [phi, theta + 2 * phi],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(chi.hess[1, 1, 0], [[0, -1], [-1, -2]],
+                           rtol=0, atol=1e-15)
+        assert self.chi(((1, 2, 1, "theta"), (1, 1, 2, "-theta")), 0).order == 0
+
+    @pytest.mark.parametrize("entries, message", [
+        (((1, 2, 3, "1"), (1, 2, 2, "1")), "contorsion index (1,2,3) out of range"),
+        (((1, 2, 2, "1"), (0, 1, 1, "1")), "contorsion index (0,1,1) out of range"),
+        (((2, 1, 2, "1"), (1, 2, 1, "2"), (1, 1, 2, "-1")),
+         "contorsion antisymmetry violated at entry (1,1,2): deviation 1.000e+00"),
+        (((1, 2, 2, "theta"),),
+         "contorsion antisymmetry violated at entry (1,2,2): deviation 1.800e+00"),
+    ])
+    def test_messages(self, entries, message):
+        with pytest.raises(InvalidContorsion) as err:
+            self.chi(entries)
+        assert str(err.value) == message
+
+    def test_entries_are_read_in_order(self):
+        # an entry that cannot be evaluated is met before a later bad index,
+        # and a bad index before a later entry that cannot be evaluated
+        with pytest.raises(DomainError):
+            self.chi(((1, 2, 1, "log(-theta)"), (1, 2, 3, "1")))
+        with pytest.raises(InvalidContorsion):
+            self.chi(((1, 2, 3, "1"), (1, 2, 1, "log(-theta)")))
+
+
 class TestDerivedCoefficients:
     def test_mixed_raises_last_index(self):
         point = (np.pi / 4, 0.5)
@@ -251,6 +299,16 @@ class TestTorsion:
         a = ["r*theta", "cos(theta)"]
         tau = torsion(POLAR, "skew", a, a, (1.2, 0.5), chi=RANDOM_CHI_POLAR)
         assert np.allclose(tau, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("a, b, point", [
+        (["1", "0", "0"], ["0", "1"], (0.8, 0.4)),
+        (["1"], ["0", "1"], (0.8, 0.4)),
+        (["1", "0"], [], (0.8, 0.4)),
+        (["1", "theta"], ["phi", "1"], (0.8,)),
+    ], ids=["long", "short", "empty", "short-point"])
+    def test_wrong_dimension(self, a, b, point):
+        with pytest.raises(DimMismatch):
+            torsion(SPHERE, "coord", a, b, point)
 
     def test_antisymmetric_in_arguments(self):
         a = ["r", "theta"]

@@ -129,17 +129,18 @@ class TestDepthLimit:
             assert height == _levels(tree)
 
     # (text of n levels, deepest n accepted, its tree height, position of
-    # the error one level deeper).  A flat chain is a tall tree built without
-    # deep recursion, so the height check after the whole text is read refuses
-    # it, at position 0.  Nesting in the text meets the recursion guard first,
-    # at the token one level too deep; "-(" takes two recursion steps a level.
+    # the error one level deeper).  A flat chain, or a run of signs, is a tall
+    # tree built without deep recursion, so the height check after the whole
+    # text is read refuses it, at position 0.  Nesting in the text meets the
+    # recursion guard first, at the token one level too deep.
     @pytest.mark.parametrize("build, deepest, height, position", [
         (_chain, 100, 100, 0),
+        (lambda n: "-" * (n - 1) + "x", 100, 100, 0),
         (lambda n: _nested("(", n), 100, 1, 100),
-        (lambda n: _nested("-(", n), 50, 50, 100),
+        (lambda n: _nested("-(", n), 100, 100, 200),
         (lambda n: "^".join(["x"] * n), 100, 100, 200),
         (lambda n: _nested("sin(", n), 100, 100, 400),
-    ], ids=["chain", "parentheses", "negation", "power", "call"])
+    ], ids=["chain", "signs", "parentheses", "negation", "power", "call"])
     def test_limit_and_position(self, build, deepest, height, position):
         assert _levels(parse(build(deepest), ["x"])) == height
         with pytest.raises(ParseError) as err:
@@ -171,13 +172,14 @@ class TestTokenize:
     def test_tokens(self, text, tokens):
         assert expr._tokenize(text) == tokens
 
-    # the pattern's "." matches any character but a newline, so trailing
-    # blanks other than newlines are read as an unexpected character
+    # a tail of blanks of any kind is skipped, as trailing newlines are
+    @pytest.mark.parametrize("text", ["x  ", "x\t", "x \n", "x\n "],
+                             ids=["spaces", "tab", "space-newline", "newline-space"])
+    def test_trailing_blanks(self, text):
+        assert expr._tokenize(text) == [("name", "x", 0), ("end", "", len(text))]
+        assert parse(text, ["x"]) == parse("x", ["x"])
+
     @pytest.mark.parametrize("text, char, position", [
-        ("x  ", " ", 2),
-        ("x\t", "\t", 1),
-        ("x \n", " ", 1),
-        ("x\n ", " ", 2),
         ("x + $y", "$", 4),
         ("x@", "@", 1),
     ])

@@ -447,6 +447,10 @@ class TestParse:
             "args": [{"op": "coord", "name": "u"}],
         }
 
+    def test_trailing_blanks_accepted(self):
+        out = run_json("parse", "--coords", "x", "--text", "x + 1 \t")
+        assert out["canonical"] == "x + 1"
+
     def test_syntax_error_exits_two(self):
         proc = run_cli("parse", "--coords", "x", "--text", "x +")
         assert proc.returncode == 2

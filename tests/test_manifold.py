@@ -8,8 +8,9 @@ import pytest
 from gcalc import expr as ex
 from gcalc.errors import DimMismatch, FrameMismatch, SingularFrame
 from gcalc.manifest import ManifestError, builtin, load_manifest
-from gcalc.manifold import (Chart, classify_frame, dirderiv_scalar, eval_frame,
-                            frame_jets, gradient_basis, lie_bracket,
+from gcalc.jets import Jet
+from gcalc.manifold import (Chart, bracket, classify_frame, dirderiv_scalar,
+                            eval_frame, frame_jets, gradient_basis, lie_bracket,
                             sample_point)
 
 RNG = np.random.default_rng(512)
@@ -192,6 +193,30 @@ class TestDirectionalDerivative:
 
 
 class TestLieBracket:
+    def test_bracket_closed_form_and_its_derivative(self):
+        # a = (xy, sin x), b = (y^2, x + y):
+        # [a, b] = (2y sin x - y^3 - x(x + y), xy + sin x - y^2 cos x)
+        chart = chart_of("euclid2")
+        x, y = 0.7, -0.4
+        a, b = (Jet.stack([ex.eval_jet(chart.parse(c), (x, y), 2) for c in f], (2,))
+                for f in (("x*y", "sin(x)"), ("y^2", "x + y")))
+        ab = bracket(a, b)
+        assert ab.order == 1
+        s, c = math.sin(x), math.cos(x)
+        assert np.allclose(ab.value, [2 * y * s - y ** 3 - x * (x + y),
+                                      x * y + s - y * y * c], rtol=0, atol=1e-15)
+        assert np.allclose(ab.grad, [[2 * y * c - 2 * x - y, 2 * s - 3 * y * y - x],
+                                     [y + c + y * y * s, x - 2 * y * c]],
+                           rtol=0, atol=1e-15)
+        assert np.array_equal(lie_bracket(chart, ("x*y", "sin(x)"), ("y^2", "x + y"),
+                                          (x, y)), ab.value)
+
+    def test_bracket_of_order_one_jets_is_a_value(self):
+        chart = chart_of("euclid2")
+        a, b = (Jet.stack([ex.eval_jet(chart.parse(c), (0.3, 0.2), 1) for c in f], (2,))
+                for f in (("y", "x"), ("x*x", "1")))
+        assert bracket(a, b).order == 0
+
     def test_coordinate_stretching(self):
         got = lie_bracket(chart_of("euclid2"), ("1", "0"), ("0", "x"), (0.7, -0.4))
         assert np.allclose(got, [0.0, 1.0], atol=1e-14)

@@ -11,7 +11,7 @@ import pytest
 from gcalc import expr as ex
 from gcalc import suites
 from gcalc.manifest import builtin, builtin_names
-from gcalc.manifold import sample_point
+from gcalc.manifold import lie_bracket, sample_point
 
 
 def _same_jet(a, b, point):
@@ -100,3 +100,43 @@ def test_parse_budget(parse_calls):
             suites.run_checks(suite, samples=samples, seed=3)
             counts.append(parse_calls[0])
         assert counts[1] <= counts[0], (suite, counts)
+
+
+def _shifted(point, l, step):
+    return tuple(p + step if k == l else p for k, p in enumerate(point))
+
+
+def _nested_bracket_fd(chart, fa, fb, fc, point, h=1e-3):
+    """[a, [b, c]] with the inner bracket differentiated by central
+    differences, Richardson extrapolated once."""
+    n = chart.n
+    a_jets = [ex.eval_jet(t, point, 1) for t in fa]
+    inner0 = lie_bracket(chart, fb, fc, point)
+
+    def central(l, step):
+        up = lie_bracket(chart, fb, fc, _shifted(point, l, step))
+        dn = lie_bracket(chart, fb, fc, _shifted(point, l, -step))
+        return (up - dn) / (2 * step)
+
+    dh = np.zeros((n, n))
+    for l in range(n):
+        dh[l] = (4.0 * central(l, h / 2) - central(l, h)) / 3.0
+    out = np.zeros(n)
+    for k in range(n):
+        out[k] = sum(a_jets[l].value * dh[l, k] - inner0[l] * a_jets[k].grad[l]
+                     for l in range(n))
+    return out
+
+
+@pytest.mark.parametrize("name", ["sphere2", "polar2", "euclid3"])
+def test_nested_bracket_matches_finite_differences(name):
+    chart = builtin(name).chart
+    rng = np.random.default_rng(808)
+    for _ in range(6):
+        point = sample_point(chart, rng)
+        fa, fb, fc = ([suites._rand_scalar_expr(rng, chart) for _ in range(chart.n)]
+                      for _ in range(3))
+        got = suites._nested_bracket(chart, fa, fb, fc, point)
+        want = _nested_bracket_fd(chart, fa, fb, fc, point)
+        assert np.max(np.abs(got)) > 1e-3
+        assert suites._rel_arr(got, want) < 1e-10

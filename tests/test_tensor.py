@@ -10,11 +10,12 @@ from gcalc import blades as bl
 from gcalc import expr as ex
 from gcalc.algebra import Multivector, as_gram, dot as mv_dot, gp, \
     reverse as mv_reverse, wedge as mv_wedge
-from gcalc.connection import conn_spec, levi_civita, contorsion_apply
+from gcalc.connection import conn_spec, gamma_jets, levi_civita, contorsion_apply
 from gcalc.errors import (GradeMismatch, MixedGrade, NonScalarOutput,
                           SignatureMismatch, SlotGradeError)
+from gcalc import suites
 from gcalc.manifest import builtin
-from gcalc.manifold import MultivectorField, eval_frame, frame_jets
+from gcalc.manifold import MultivectorField, eval_frame, frame_jets, sample_point
 from gcalc.mdd import DerivedField, eval_field, from_blade_map, mdd
 from gcalc.tensor import (TensorField, TensorSignature, change_of_frame_matrix,
                           conjugate_derivative_check, contorsion_tensor,
@@ -348,6 +349,53 @@ class TestDerivative:
         v1 = tensor_derivative_chain(spec, T, a, [other, const], point)[0]
         v2 = tensor_derivative_chain(spec, T, a, [other, varying], point)[0]
         assert v1 == pytest.approx(v2, abs=1e-9)
+
+
+def components_by_index(spec, T, point):
+    """D_i T_{j...} entry by entry: F_ik d_k T_{j...} minus, per slot s and
+    index l, Gamma_{i j_s}^l T_{...l...}, skipping absent components."""
+    n, rank = T.n, T.signature.rank
+    gj = gamma_jets(spec, tuple(point), 0)
+    F, mixed = gj.frame.F.value, gj.mixed.value
+    comp_jets = {}
+    for idx in itertools.product(range(n), repeat=rank):
+        e = T.components.get(tuple(1 << j for j in idx) + (0,))
+        comp_jets[idx] = ex.eval_jet(e, point, 1) if e is not None else None
+    out = np.zeros((n,) * (rank + 1))
+    for i in range(n):
+        for idx in itertools.product(range(n), repeat=rank):
+            cj = comp_jets[idx]
+            val = 0.0
+            if cj is not None:
+                val = sum(F[i][k] * cj.grad[k] for k in range(n))
+            for s in range(rank):
+                for l in range(n):
+                    cl = comp_jets[idx[:s] + (l,) + idx[s + 1:]]
+                    if cl is not None:
+                        val -= mixed[i][idx[s]][l] * cl.value
+            out[(i,) + idx] = val
+    return out
+
+
+@pytest.mark.parametrize("name", ["sphere2", "polar2", "euclid3"])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_component_contractions_match_index_loop(name, rank):
+    chart = builtin(name).chart
+    rng = np.random.default_rng(1000 * rank + len(name))
+    n = chart.n
+    for frame in chart.frames:
+        for chi in ((), suites._rand_chi(rng, chart)):
+            spec = conn_spec(chart, frame, chi)
+            # about a third of the components are absent
+            comps = {tuple(1 << j for j in idx) + (0,): suites._rand_scalar_expr(rng, chart)
+                     for idx in itertools.product(range(n), repeat=rank)
+                     if rng.random() < 0.7}
+            T = TensorField(chart, frame, TensorSignature((1,) * rank, 0), comps)
+            point = sample_point(chart, rng)
+            got = tensor_derivative_components(spec, T, point)
+            want = components_by_index(spec, T, point)
+            assert got.shape == (n,) * (rank + 1)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
 
 
 class TestConjugates:
