@@ -5,7 +5,7 @@ Run me with python3; everything prints, nothing plots.
 
 import numpy as np
 
-from gcalc.algebra import (Gram, LinMap, Multivector, dot, dual, gp, grade,
+from gcalc.algebra import (Gram, LinMap, Multivector, dot, dual, gp,
                            pseudoscalar, reverse, trace_rot, tsa_decompose,
                            wedge)
 

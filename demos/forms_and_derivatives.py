@@ -9,7 +9,7 @@ from gcalc.connection import levi_civita
 from gcalc.forms import FormField, form_d, form_eval, hat_map, unhat
 from gcalc.manifest import builtin
 from gcalc.manifold import MultivectorField
-from gcalc.mdd import codifferential, ext_d, ext_d_field, eval_field
+from gcalc.mdd import codifferential, ext_d, ext_d_field
 
 polar = builtin("polar2").chart
 spec = levi_civita(polar, "coord")

@@ -4,7 +4,7 @@ import numpy as np
 
 from gcalc.connection import conn_spec, connection_at
 from gcalc.manifest import builtin
-from gcalc.mdd import eval_field, gradient, mdd
+from gcalc.mdd import gradient, mdd
 
 bundle = builtin("sphere2")
 sphere = bundle.chart

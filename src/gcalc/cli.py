@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import blades as bl
 from . import expr as ex
 from . import mdd as md
 from .connection import conn_spec, connection_at, levi_civita

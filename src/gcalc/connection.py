@@ -80,11 +80,13 @@ class GammaJets(NamedTuple):
     chi: Jet
     gamma: Jet
     mixed: Jet            # [i, j, l] = sum_k gamma_ijk g^{kl}
+    mixed_zero: bool      # every Taylor coefficient of mixed is zero
 
 
 @lru_cache(maxsize=8192)
 def gamma_jets(spec: ConnSpec, point: tuple, order: int) -> GammaJets:
-    """Evaluate Gbar, chi, Gamma and the mixed coefficients as jets."""
+    """Evaluate Gbar, chi, Gamma and the mixed coefficients as jets, and
+    note once whether the mixed ones vanish in every Taylor coefficient."""
     fj = frame_jets(spec.chart, spec.frame, point, order + 1)
     dg, lie = fj.dgram, fj.lie
     # transpose(1, 2, 0) reads A[k, i, j]; transpose(2, 0, 1) reads A[j, k, i]
@@ -93,7 +95,8 @@ def gamma_jets(spec: ConnSpec, point: tuple, order: int) -> GammaJets:
     chi = _chi_jets(spec, point, order)
     gamma = gammabar + chi
     mixed = contract("ijk,kl->ijl", gamma, fj.gram_inv)
-    return GammaJets(fj, gammabar, chi, gamma, mixed)
+    return GammaJets(fj, gammabar, chi, gamma, mixed,
+                     not any(c.any() for c in mixed.coeffs))
 
 
 def _chi_jets(spec: ConnSpec, point: tuple, order: int) -> Jet:
@@ -170,8 +173,7 @@ def torsion(chart: Chart, frame: str, field_a, field_b, point, chi=None) -> np.n
     fa = MultivectorField.vector(chart, field_a, frame)
     fb = MultivectorField.vector(chart, field_b, frame)
     ex.check_point(point, n)
-    a, b = (Jet.stack([ex.eval_jet(e, point, 1) for e in f.components.values()], (n,))
-            for f in (fa, fb))
+    a, b = (ex.eval_jet(list(f.components.values()), point, 1) for f in (fa, fb))
 
     dab = _mdd.mdd(spec, a.value, fb, point)
     dba = _mdd.mdd(spec, b.value, fa, point)

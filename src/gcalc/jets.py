@@ -9,19 +9,22 @@ Derivatives*, 2nd ed., 2008, ch. 13).  When two jets of different order
 meet, the result is truncated to the lower order.  Plain Python numbers mix
 freely and act as constants.
 
-Scalar jets (S = ()) carry the expression layer.  Their products and the
-chain rule for a smooth f applied to a jet u,
+Expressions are not evaluated here: :func:`gcalc.expr.eval_jet` runs the
+sparse form of the same vector mode over each tree and writes the result
+into one array jet.  It takes the derivatives of the whitelisted functions
+from :func:`function_coeffs`, and the chain rule for a smooth f applied to
+a jet u,
 
     value  f(u)
     grad   f'(u) * u.grad
     hess   f'(u) * u.hess + f''(u) * outer(u.grad, u.grad),
 
-are the arithmetic operators and :func:`apply_function`.  Jets of every
-shape add, subtract, scale by numbers and transpose.  Array jets carry the
-frame, connection and operator layers: :func:`contract` is the product rule
-of an einsum contraction, one einsum per Taylor term, and
-:func:`mat_det_inv` gives the determinant and inverse of a matrix jet in
-closed form,
+is also :func:`apply_function` on scalar jets.  Jets of every shape add,
+subtract, scale by numbers and transpose; scalar jets also multiply and
+divide.  Array jets carry the frame, connection and operator layers:
+:func:`contract` is the product rule of an einsum contraction, one einsum
+per Taylor term, and :func:`mat_det_inv` gives the determinant and inverse
+of a matrix jet in closed form,
 
     d(G^-1) = -G^-1 dG G^-1,    d(det G) = det G tr(G^-1 dG),
 
@@ -57,37 +60,10 @@ class Jet:
             return 0
         return 1 if self.hess is None else 2
 
-    @classmethod
-    def constant(cls, value, n: int, order: int) -> "Jet":
-        if order == 0:
-            return cls(value)
-        if order == 1:
-            return cls(value, np.zeros(n))
-        return cls(value, np.zeros(n), np.zeros((n, n)))
-
-    @classmethod
-    def variable(cls, value, n: int, k: int, order: int) -> "Jet":
-        """The k-th coordinate as a jet: unit gradient slot, zero curvature."""
-        if order == 0:
-            return cls(value)
-        g = np.zeros(n)
-        g[k] = 1.0
-        if order == 1:
-            return cls(value, g)
-        return cls(value, g, np.zeros((n, n)))
-
     @property
     def coeffs(self) -> tuple:
         """The Taylor coefficients carried: (value[, grad[, hess]])."""
         return (self.value, self.grad, self.hess)[:self.order + 1]
-
-    @staticmethod
-    def stack(jets, shape) -> "Jet":
-        """The jet of the given shape whose entries, in C order, are the
-        scalar jets ``jets``."""
-        order = min(j.order for j in jets)
-        columns = zip(*(j.coeffs[:order + 1] for j in jets))
-        return Jet(*(np.array(c).reshape(shape + np.shape(c[0])) for c in columns))
 
     def partials(self) -> "Jet":
         """All partial derivatives as one jet of shape S+(n,), one order
@@ -196,33 +172,8 @@ class Jet:
             return self._inverse() * other
         return NotImplemented
 
-    def __pow__(self, m):
-        if isinstance(m, (int, np.integer)):
-            return int_power(self, int(m))
-        return NotImplemented
-
     def __repr__(self):
         return f"Jet({self.value!r}, order={self.order})"
-
-
-def int_power(u, m: int):
-    """u**m for integer m, valid for negative bases (and u != 0 when m < 0)."""
-    if m < 0 and value_of(u) == 0.0:
-        raise DomainError("zero raised to a negative power")
-    try:
-        if isinstance(u, _NUMBER):
-            return float(u) ** m
-        v = u.value
-        if m == 0:
-            return Jet.constant(1.0, 0, 0) if u.grad is None else \
-                Jet(1.0, np.zeros_like(u.grad),
-                    None if u.hess is None else np.zeros_like(u.hess))
-        f0 = v ** m
-        f1 = m * v ** (m - 1) if m != 0 else 0.0
-        f2 = m * (m - 1) * v ** (m - 2) if m not in (0, 1) else 0.0
-    except OverflowError:
-        raise DomainError(f"integer power of {value_of(u)!r} overflows") from None
-    return _compose(u, f0, f1, f2)
 
 
 def _compose(u: Jet, f0: float, f1: float, f2: float) -> Jet:
@@ -284,27 +235,23 @@ FUNCTIONS = {
 }
 
 
-def apply_function(name: str, u):
-    """Apply a whitelisted function to a jet or plain number."""
-    number = isinstance(u, _NUMBER)
-    v = float(u) if number else u.value
+def function_coeffs(name: str, v: float, order: int) -> tuple:
+    """f(v), f'(v) and f''(v) for a whitelisted function; ``order`` is the
+    order of the jet f is applied to, since abs and sqrt have no derivative
+    at 0."""
     try:
-        f0, f1, f2 = FUNCTIONS[name](v, 0 if number else u.order)
+        return FUNCTIONS[name](v, order)
     except OverflowError:
         raise DomainError(f"{name}({v!r}) overflows") from None
-    return f0 if number else _compose(u, f0, f1, f2)
+
+
+def apply_function(name: str, u: Jet) -> Jet:
+    """Apply a whitelisted function to a scalar jet."""
+    return _compose(u, *function_coeffs(name, u.value, u.order))
 
 
 def value_of(x) -> float:
     return x.value if isinstance(x, Jet) else float(x)
-
-
-def general_power(base, expo):
-    """base ** expo for jet-valued operands; needs a positive base."""
-    bv = value_of(base)
-    if bv <= 0.0:
-        raise DomainError("power with a non-integer exponent needs a positive base")
-    return apply_function("exp", expo * apply_function("log", base))
 
 
 # -- array jets -------------------------------------------------------------

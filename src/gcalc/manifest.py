@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .errors import (BladeKeyError, DimMismatch, FrameMismatch, GcalcError,
-                     ParseError)
+from .errors import BladeKeyError, DimMismatch, GcalcError, ParseError
 from .manifold import Chart, MultivectorField
 
 

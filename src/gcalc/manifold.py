@@ -134,12 +134,6 @@ class FrameJets(NamedTuple):
     det_gram: Jet
 
 
-def _matrix_jet(rows, point, order):
-    n = len(rows)
-    return Jet.stack([ex.eval_jet(e, point, order) for row in rows for e in row],
-                     (n, n))
-
-
 @lru_cache(maxsize=8192)
 def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     """Evaluate frame and metric data as jets of the given order at ``point``.
@@ -150,8 +144,8 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     """
     n = chart.n
     ex.check_point(point, n)
-    F = _matrix_jet(chart.frame_rows(frame), point, order)
-    g_coord = _matrix_jet(chart.metric, point, order)
+    F = ex.eval_jet(chart.frame_rows(frame), point, order)
+    g_coord = ex.eval_jet(chart.metric, point, order)
 
     scale = max(1.0, float(np.max(np.abs(F.value))))
     if abs(np.linalg.det(F.value)) < 1e-12 * scale ** n:
@@ -217,10 +211,10 @@ def lie_bracket(chart: Chart, field_a, field_b, point) -> np.ndarray:
     point = tuple(float(p) for p in point)
     n = chart.n
     ex.check_point(point, n)
-    a, b = ([ex.eval_jet(chart.parse(c), point, 1) for c in f] for f in (field_a, field_b))
-    if len(a) != n or len(b) != n:
+    if len(field_a) != n or len(field_b) != n:
         raise DimMismatch("vector fields must have n components")
-    return bracket(Jet.stack(a, (n,)), Jet.stack(b, (n,))).value
+    a, b = (ex.eval_jet([chart.parse(c) for c in f], point, 1) for f in (field_a, field_b))
+    return bracket(a, b).value
 
 
 def sample_point(chart: Chart, rng) -> tuple:

@@ -9,8 +9,11 @@ blade as a derivation,
 
 with Gamma_{ij}^l = Gamma_{ijk} g^{kl}.  On bitmask blades that derivation
 is a constant linear map, Lambda[j, l] lifting e_j -> e_l to blades, so all
-n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  Derived
-operators contract D with the reciprocal frame:
+n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  Where
+every Taylor coefficient of Gamma_{ij}^l is zero at the point (coordinate
+frames of flat metrics without contorsion), the connection term adds only
+zeros and is skipped, lift and all.  Derived operators contract D with the
+reciprocal frame:
 
     gradient   e^i D_{e_i} A  = divergence + curl
     divergence e^i . D_{e_i} A = sum_i iota_i D[i]
@@ -92,9 +95,8 @@ def field_jets(field, point, order: int) -> Jet:
         raise JetBudgetExhausted(
             f"field supports jets to order {field.budget}, requested {order}")
     if isinstance(field, MultivectorField):
-        return from_blade_map({mask: ex.eval_jet(e, point, order)
-                               for mask, e in field.components.items()},
-                              len(point), order)
+        comps = field.components
+        return ex.eval_jet([comps.get(m) for m in range(1 << len(point))], point, order)
     return field.fn(point, order)
 
 
@@ -130,13 +132,16 @@ def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
     """
     gj = gamma_jets(spec, point, order)
     dirs = list(dirs)
-    F, mixed = gj.frame.F, gj.mixed
-    if dirs != list(range(spec.n)):
-        F, mixed = F.take(dirs), mixed.take(dirs)
+    every = dirs == list(range(spec.n))
+    F = gj.frame.F if every else gj.frame.F.take(dirs)
     A = field_jets(field, point, order + 1)
-    # Lambda[j, l] A for every e_j -> e_l, at the order of the result
+    if gj.mixed_zero:
+        return contract("ik,ak->ia", F, A.partials())
+    # Lambda[j, l] A for every e_j -> e_l, at the order of the result; built
+    # before the component term, which would otherwise add to its peak memory
     lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
-                           summed=False)
+                             summed=False)
+    mixed = gj.mixed if every else gj.mixed.take(dirs)
     return contract("ik,ak->ia", F, A.partials()) + contract("ijl,jla->ia", mixed, lifted)
 
 

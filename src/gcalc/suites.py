@@ -16,6 +16,7 @@ tightening or loosening a whole run.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .connection import (conn_spec, connection_at, contorsion_apply,
                          levi_civita, mixed_gamma)
 from .errors import GcalcError, DomainError
 from .forms import FormField, form_add, form_d, form_eval, form_wedge, hat_map, unhat
-from .jets import Jet
 from .manifest import builtin
 from .manifold import (Chart, MultivectorField, bracket, dirderiv_scalar,
                        eval_frame, frame_jets, lie_bracket, sample_point)
@@ -452,8 +452,8 @@ def _chk_lie_antisymmetric(rng, samples):
 def _nested_bracket(chart, fa, fb, fc, point):
     """[a, [b, c]] exactly: the inner bracket of order-2 jets keeps the first
     derivatives that the outer bracket takes."""
-    a, b, c = (Jet.stack([ex.eval_jet(t, point, 2) for t in f], (chart.n,))
-               for f in (fa, fb, fc))
+    abc = ex.eval_jet([fa, fb, fc], point, 2)
+    a, b, c = (abc.take(i) for i in range(3))
     return bracket(a, bracket(b, c)).value
 
 
@@ -1337,6 +1337,9 @@ def run_checks(suite="all", samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED,
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     scale = tol / DEFAULT_TOL
+    if not all(math.isfinite(pinned * scale) for _, _, pinned, _ in CHECKS):
+        raise DomainError(f"tol {tol!r} is too large: a scaled tolerance is "
+                          f"not finite")
 
     wanted = set(SUITE_NAMES) if suite == "all" else {suite}
     checks = []

@@ -121,8 +121,7 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
                 if all(mask in masks for masks, mask in zip(live, key[:-1]))]
         out = [np.zeros((1 << T.n,) + (T.n,) * j) for j in range(order + 1)]
         if keys:
-            prod = Jet.stack([ex.eval_jet(T.components[key], point, order)
-                              for key in keys], (len(keys),))
+            prod = ex.eval_jet([T.components[key] for key in keys], point, order)
             for s, A in enumerate(args):
                 prod = contract_jets("k,k->k", prod,
                                      A.take([key[s] for key in keys]))
@@ -224,9 +223,9 @@ def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.nd
     n = T.n
     rank = sig.rank
     gj = gamma_jets(spec, point, 0)
-    comps = Jet.stack([ex.eval_jet(T.components.get(tuple(1 << j for j in idx) + (0,),
-                                                    ex.Num(0.0)), point, 1)
-                       for idx in itertools.product(range(n), repeat=rank)], (n,) * rank)
+    trees = np.array([T.components.get(tuple(1 << j for j in idx) + (0,))
+                      for idx in itertools.product(range(n), repeat=rank)], dtype=object)
+    comps = ex.eval_jet(trees.reshape((n,) * rank), point, 1)
     out = np.tensordot(gj.frame.F.value, comps.grad, axes=([1], [rank]))
     for s in range(rank):
         # [i, j_s, j...without s]: Gamma_{i j_s}^l T_{...l...}, j_s moved to slot s

@@ -5,9 +5,10 @@ import pytest
 
 from gcalc import blades
 from gcalc.algebra import (Gram, LinMap, Multivector, dot, dual, gp, grade,
-                           pseudoscalar, reciprocal_frame, reverse, trace_rot,
+                           pseudoscalar, reciprocal_frame, trace_rot,
                            tsa_decompose, wedge)
 from gcalc.errors import DimMismatch, MixedGrade, SingularFrame, SingularGram
+from gcalc.expr import Coord, Num, eval_jet
 from gcalc.jets import Jet
 
 
@@ -282,9 +283,8 @@ class TestOutermorphism:
         assert np.array_equal(blades.outermorphism(np.eye(3), x).value, x)
         # a 2x2 jet matrix: the bivector picks up the determinant, with its
         # derivative by the product rule
-        t = Jet.variable(0.5, 1, 0, 1)
-        M = Jet.stack([t, Jet(0.0, np.zeros(1)), Jet(1.0, np.zeros(1)), t * t],
-                      (2, 2))
+        t = Coord(0)
+        M = eval_jet([[t, Num(0.0)], [Num(1.0), t * t]], (0.5,), 1)
         out = blades.outermorphism(M, Jet(np.array([0.0, 0.0, 0.0, 1.0]),
                                           np.zeros((4, 1))))
         assert blades.live_masks(out) == [0b11]

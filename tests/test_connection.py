@@ -11,7 +11,7 @@ from gcalc.connection import (_chi_jets, conn_spec, connection_at,
                               reciprocal_gamma, torsion)
 from gcalc.errors import DimMismatch, DomainError, InvalidContorsion
 from gcalc.manifest import builtin
-from gcalc.manifold import Chart, MultivectorField, eval_frame
+from gcalc.manifold import MultivectorField, eval_frame
 from gcalc.mdd import (DerivedField, eval_field, from_blade_map, mdd,
                        mdd_along_basis)
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcalc import expr
-from gcalc.errors import DomainError, ParseError, UnknownIdentifier
+from gcalc.errors import DomainError, GcalcError, ParseError, UnknownIdentifier
 from gcalc.expr import (Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub,
                         eval_jet, eval_value, parse, to_text)
+from gcalc.jets import FUNCTIONS, Jet, apply_function, function_coeffs
+from gcalc.suites import _rand_expr_text
 
 
 class TestParse:
@@ -324,3 +326,203 @@ class TestExprComposition:
         from gcalc.errors import DimMismatch
         with pytest.raises(DimMismatch):
             expr.check_point((1.0,), 2)
+
+
+# -- the dense walk that the sparse evaluator replaced, kept as its oracle --
+#
+# Every node builds a scalar Jet with dense (n,) and (n, n) Taylor arrays,
+# and the arithmetic is Jet's own.  The sparse evaluator must reproduce it
+# bit for bit, up to the sign of zero.
+
+def _dense_constant(value, n, order):
+    return Jet(value, *(np.zeros((n,) * d) for d in range(1, order + 1)))
+
+
+def _dense_variable(value, n, k, order):
+    if order == 0:
+        return Jet(value)
+    g = np.zeros(n)
+    g[k] = 1.0
+    return Jet(value, g) if order == 1 else Jet(value, g, np.zeros((n, n)))
+
+
+def _dense_value(x):
+    return x.value if isinstance(x, Jet) else float(x)
+
+
+def _dense_apply(name, u):
+    if isinstance(u, Jet):
+        return apply_function(name, u)
+    return function_coeffs(name, float(u), 0)[0]
+
+
+def _dense_int_power(u, m):
+    if m < 0 and _dense_value(u) == 0.0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        if not isinstance(u, Jet):
+            return float(u) ** m
+        v = u.value
+        if m == 0:
+            return Jet(1.0, np.zeros_like(u.grad),
+                       None if u.hess is None else np.zeros_like(u.hess))
+        f0 = v ** m
+        f1 = m * v ** (m - 1)
+        f2 = m * (m - 1) * v ** (m - 2) if m != 1 else 0.0
+    except OverflowError:
+        raise DomainError(f"integer power of {_dense_value(u)!r} overflows") from None
+    if u.grad is None:
+        return Jet(f0)
+    g = f1 * u.grad
+    if u.hess is None:
+        return Jet(f0, g)
+    return Jet(f0, g, f1 * u.hess + f2 * np.outer(u.grad, u.grad))
+
+
+def _dense_general_power(base, expo):
+    if _dense_value(base) <= 0.0:
+        raise DomainError("power with a non-integer exponent needs a positive base")
+    return _dense_apply("exp", expo * _dense_apply("log", base))
+
+
+def _dense_eval(e, point, n, order):
+    t = type(e)
+    if t is Num:
+        return e.value
+    if t is Coord:
+        return _dense_variable(point[e.index], n, e.index, order) if order \
+            else point[e.index]
+    if t is Neg:
+        return -_dense_eval(e.arg, point, n, order)
+    if t is Add:
+        return _dense_eval(e.left, point, n, order) + _dense_eval(e.right, point, n, order)
+    if t is Sub:
+        return _dense_eval(e.left, point, n, order) - _dense_eval(e.right, point, n, order)
+    if t is Mul:
+        return _dense_eval(e.left, point, n, order) * _dense_eval(e.right, point, n, order)
+    if t is Div:
+        num = _dense_eval(e.left, point, n, order)
+        den = _dense_eval(e.right, point, n, order)
+        if _dense_value(den) == 0.0:
+            raise DomainError("division by zero")
+        return num / den
+    if t is Pow:
+        base = _dense_eval(e.base, point, n, order)
+        if expr._is_constant(e.expo):
+            c = _dense_value(_dense_eval(e.expo, point, n, 0))
+            if not math.isfinite(c):
+                raise DomainError(f"exponent {c!r} is not finite")
+            if abs(c - round(c)) < 1e-12:
+                return _dense_int_power(base, int(round(c)))
+            return _dense_general_power(base, c)
+        return _dense_general_power(base, _dense_eval(e.expo, point, n, order))
+    assert t is Call
+    return _dense_apply(e.name, _dense_eval(e.arg, point, n, order))
+
+
+def _dense_eval_jet(e, point, order):
+    point = tuple(point)
+    out = _dense_eval(e, point, len(point), order)
+    return out if isinstance(out, Jet) else _dense_constant(out, len(point), order)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except GcalcError as err:
+        return type(err), str(err)
+
+
+def _assert_same(tree, point, order):
+    want = _outcome(lambda: _dense_eval_jet(tree, point, order))
+    got = _outcome(lambda: eval_jet(tree, point, order))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Jet) and got.order == want.order == order
+    assert isinstance(got.value, float)
+    for a, b in zip(got.coeffs, want.coeffs):
+        # array_equal counts +0 and -0 as equal
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+    if order == 0:
+        value = _outcome(lambda: eval_value(tree, point))
+        assert value == want.value or (math.isnan(value) and math.isnan(want.value))
+
+
+COORD_NAMES = ("x", "y", "z", "w")
+
+# Every whitelisted function, division of every operand kind, negation and
+# powers with integer, negative, zero, non-integer and tree exponents.
+ORACLE_TEMPLATES = [f"{name}(0.3*x - 0.2*y)" for name in FUNCTIONS] + [
+    "log(2 + x*y)", "sqrt(3 + x - y)", "abs(x - 0.3*y) + 1",
+    "x/y", "x/2", "2/x", "(x + y)/(x - 2)", "3/4 + x", "-x", "-(x*y) + -2",
+    "x^3", "x^-2", "x^0", "x^1", "y^2.5", "2^x", "x^y", "(x + 2)^(y*x)",
+    "(x*x + 1)^(1/2)", "x^(4/2)", "y^(3 - 3)", "(2 + y)^-1.5", "x^2*y^2 - x*y",
+    "exp(x)*sin(y)/(2 + cos(x*y))", "tanh(x)^3 - cosh(y)/sinh(2 + x)",
+    "tan(x/3)*log(4 + y)", "2*3 + 4", "x - x", "(x - x)^2",
+]
+
+
+class TestSparseAgainstDenseWalk:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_random_trees(self, order):
+        rng = np.random.default_rng(2208 + order)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            tree = parse(_rand_expr_text(rng, COORD_NAMES[:n]), COORD_NAMES[:n])
+            point = tuple(float(p) for p in rng.uniform(-1.5, 1.5, size=n))
+            _assert_same(tree, point, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("text", ORACLE_TEMPLATES)
+    def test_every_node_kind(self, text, order):
+        rng = np.random.default_rng(len(text))
+        for n in (2, 3, 4):
+            tree = parse(text, COORD_NAMES[:n])
+            for _ in range(4):
+                point = tuple(float(p) for p in rng.uniform(0.1, 1.2, size=n))
+                _assert_same(tree, point, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("text, point, message", [
+        ("1/x", (0.0,), "division by zero"),
+        ("x/(x - x)", (0.5,), "division by zero"),
+        ("log(x)", (-1.0,), "log of a nonpositive number"),
+        ("sqrt(x)", (-4.0,), "sqrt of a negative number"),
+        ("sqrt(x)", (0.0,), "sqrt is not differentiable at 0"),
+        ("abs(x)", (0.0,), "abs is not differentiable at 0"),
+        ("exp(1000*x)", (1.0,), "exp(1000.0) overflows"),
+        ("0^-1 + x", (1.0,), "zero raised to a negative power"),
+        ("x^(1e308*10)", (1.0,), "exponent inf is not finite"),
+        ("x^1000", (10,), "integer power of 10.0 overflows"),
+        ("(-x)^0.5", (1.0,), "power with a non-integer exponent needs a positive base"),
+    ])
+    def test_errors_unchanged(self, text, point, message, order):
+        tree = parse(text, ["x"])
+        _assert_same(tree, point, order)
+        got = _outcome(lambda: eval_jet(tree, point, order))
+        differentiable = "differentiable" not in message
+        if order or differentiable:
+            assert got == (DomainError, message)
+        else:
+            assert isinstance(got, Jet)
+
+    def test_array_entry_matches_single_trees(self):
+        texts = [["x*y", "sin(x)"], ["3", "y^2/(1 + x^2)"], ["x - y", "exp(y)"]]
+        trees = [[parse(t, ["x", "y"]) for t in row] for row in texts] + [[None, Num(2.0)]]
+        point = (0.4, -0.7)
+        for order in (0, 1, 2):
+            jet = eval_jet(trees, point, order)
+            assert jet.value.shape == (4, 2) and jet.order == order
+            for i, row in enumerate(trees):
+                for k, tree in enumerate(row):
+                    want = eval_jet(tree if tree is not None else Num(0.0), point, order)
+                    for a, b in zip(jet.take((i, k)).coeffs, want.coeffs):
+                        assert np.array_equal(a, b)
+
+    def test_first_error_in_c_order(self):
+        trees = [parse("log(x)", ["x"]), parse("1/(x + 1)", ["x"])]
+        with pytest.raises(DomainError, match="log of a nonpositive"):
+            eval_jet(trees, (-1.0,), 1)
+        with pytest.raises(DomainError, match="division by zero"):
+            eval_jet(trees[::-1], (-1.0,), 1)

@@ -5,8 +5,8 @@ import pytest
 
 from gcalc import blades as bl
 from gcalc.errors import DimMismatch, FrameMismatch, JetBudgetExhausted
-from gcalc.forms import (FormField, form_add, form_d, form_eval, form_jets,
-                         form_wedge, hat_map, unhat)
+from gcalc.forms import (FormField, form_add, form_d, form_eval, form_wedge,
+                         hat_map, unhat)
 from gcalc.manifest import builtin, builtin_names
 from gcalc.manifold import MultivectorField, eval_frame, sample_point
 from gcalc.mdd import (eval_field, ext_d_field, field_jets, product_field,

@@ -20,9 +20,9 @@ TEXTS = ("2 + sin(x)", "x*y", "0.3*z", "x^2 - y", "3 + y*z", "cos(z)",
 
 def matrix(order, texts=TEXTS):
     """A 3x3 matrix as nested lists of scalar jets and as one array jet."""
-    rows = [[eval_jet(parse(texts[3 * i + k], COORDS), POINT, order)
-             for k in range(3)] for i in range(3)]
-    return rows, Jet.stack([e for row in rows for e in row], (3, 3))
+    trees = [[parse(texts[3 * i + k], COORDS) for k in range(3)] for i in range(3)]
+    rows = [[eval_jet(t, POINT, order) for t in row] for row in trees]
+    return rows, eval_jet(trees, POINT, order)
 
 
 def close(jet, ref, tol=1e-14):
@@ -65,7 +65,8 @@ def test_mat_det_inv_closed_form(order):
     close(det, ref, 1e-13)
     eye = contract("ik,kj->ij", m, inv)
     for i, j in itertools.product(range(3), repeat=2):
-        close(eye.take((i, j)), Jet.constant(float(i == j), 3, order), 1e-14)
+        unit = Jet(float(i == j), *(np.zeros((3,) * d) for d in range(1, order + 1)))
+        close(eye.take((i, j)), unit, 1e-14)
 
 
 def test_singular_matrix_raises():

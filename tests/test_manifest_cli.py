@@ -370,6 +370,14 @@ class TestCheck:
         assert out["status"] == "fail"
         assert any(r["status"] == "fail" for r in out["checks"])
 
+    @pytest.mark.parametrize("tol", ["inf", "1e308", "nan"])
+    def test_non_finite_tolerance_rejected(self, tol):
+        proc = run_cli("check", "--suite", "algebra", "--samples", "2", "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("gcalc: error: tol ")
+        assert proc.stderr.count("\n") == 1
+
     def test_unknown_suite_rejected(self):
         proc = run_cli("check", "--suite", "bogus")
         assert proc.returncode == 2

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gcalc import blades as bl
+from gcalc import connection
 from gcalc import expr as ex
+from gcalc import mdd as md
 from gcalc.algebra import (Multivector, as_gram, dot as mv_dot, dual,
                            wedge as mv_wedge)
 from gcalc.connection import conn_spec, levi_civita
@@ -43,6 +45,70 @@ CHI_SPHERE = (
 
 def basis_direction(n, i):
     return [1.0 if k == i else 0.0 for k in range(n)]
+
+
+def mixed_grade_field(chart, rng):
+    """Every blade of the chart, each a random product of sines of its
+    coordinates, so no component derivative vanishes by accident."""
+    comps = {}
+    for mask in range(1 << chart.n):
+        terms = [f"sin({rng.uniform(0.3, 1.2)!r}*{c} + {rng.uniform(-1, 1)!r})"
+                 for c in chart.coords]
+        comps[mask] = f"{rng.uniform(0.5, 2.0)!r}*" + "*".join(terms)
+    return MultivectorField.parse(chart, comps)
+
+
+class TestConnectionTermSkip:
+    """_mdd_basis_jets drops Gamma Lambda A where every Taylor coefficient of
+    Gamma is zero; the term it drops adds only zeros."""
+
+    @staticmethod
+    def full_formula(monkeypatch):
+        monkeypatch.setattr(md, "gamma_jets", lambda *a: connection.gamma_jets(*a)
+                            ._replace(mixed_zero=False))
+
+    @pytest.mark.parametrize("chart", [FLAT3, MINKOWSKI], ids=["euclid3", "minkowski4"])
+    def test_skip_equals_full_formula(self, monkeypatch, chart):
+        rng = np.random.default_rng(22)
+        spec = levi_civita(chart, "coord")
+        field = mixed_grade_field(chart, rng)
+        points = [sample_point(chart, rng) for _ in range(3)]
+        n = chart.n
+        calls = [lambda p: md._mdd_basis_jets(spec, range(n), field, p, 1),
+                 lambda p: md._mdd_basis_jets(spec, range(n), field, p, 0),
+                 lambda p: md._mdd_basis_jets(spec, [1], field, p, 1),
+                 lambda p: field_jets(gradient_field(spec, field), p, 1),
+                 lambda p: field_jets(curl_field(spec, curl_field(spec, field)), p, 0)]
+        for p in points:
+            assert connection.gamma_jets(spec, p, 0).mixed_zero
+            assert connection.gamma_jets(spec, p, 1).mixed_zero
+        fast = [[call(p) for call in calls] for p in points]
+        self.full_formula(monkeypatch)
+        full = [[call(p) for call in calls] for p in points]
+        for a, b in zip(sum(fast, []), sum(full, [])):
+            assert a.order == b.order
+            for x, y in zip(a.coeffs, b.coeffs):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("spec", [
+        levi_civita(POLAR, "coord"),
+        conn_spec(FLAT3, "coord", [(1, 2, 3, "0.5*x"), (1, 3, 2, "-0.5*x")]),
+    ], ids=["polar2", "euclid3_contorsion"])
+    def test_lift_runs_where_gamma_is_not_zero(self, monkeypatch, spec):
+        chart = spec.chart
+        rng = np.random.default_rng(23)
+        field = mixed_grade_field(chart, rng)
+        point = sample_point(chart, rng)
+        assert not connection.gamma_jets(spec, point, 0).mixed_zero
+        lifts = []
+        apply_blades = bl.apply_blades
+        monkeypatch.setattr(bl, "apply_blades",
+                            lambda *a, **k: lifts.append(1) or apply_blades(*a, **k))
+        D = md._mdd_basis_jets(spec, range(chart.n), field, point, 0)
+        assert lifts
+        F = connection.gamma_jets(spec, point, 0).frame.F.value
+        derivs = np.einsum("ik,ak->ia", F, field_jets(field, point, 1).grad)
+        assert np.max(np.abs(D.value - derivs)) > 1e-3
 
 
 class TestDirectional:

@@ -8,13 +8,30 @@ under every name the library and the suites bind them to.
 
 import pytest
 
-from gcalc import manifold, suites
+from gcalc import connection, expr, manifold, mdd, suites
 from gcalc.jets import contract
 
 
 def _one_sided_bracket(a, b):
     """a^l d_l b^k, missing the - b^l d_l a^k term."""
     return contract("l,kl->k", a, b.partials())
+
+
+def _connection_always_skipped(spec, point, order):
+    """Connection data that claims Gamma = 0 everywhere, so the operators
+    drop the connection term even where it is not zero."""
+    return connection.gamma_jets(spec, point, order)._replace(mixed_zero=True)
+
+
+def _product_without_second_cross_term(a, b, n):
+    """The sparse product a*b with its Hessian missing outer(b.grad, a.grad)."""
+    av, ag, ah = a
+    bv, bg, bh = b
+    g = expr._axpy(expr._scaled(bg, av), bv, ag)
+    if ah is None:
+        return av * bv, g, None
+    h = expr._axpy(expr._scaled(bh, av), bv, ah)
+    return av * bv, g, expr._outer(h, 1.0, ag, bg, n)
 
 
 def _statuses(suite):
@@ -27,6 +44,16 @@ MUTANTS = [
                            (suites, "bracket", _one_sided_bracket)],
      "frames", ["frames.lie_jacobi", "frames.lie_antisymmetric",
                 "frames.lie_scalar_multipliers"]),
+    ("connection_always_skipped",
+     [(mdd, "gamma_jets", _connection_always_skipped)],
+     "all", ["mdd.metric_compatibility", "mdd.connection_restriction",
+             "mdd.product_rule", "mdd.pseudoscalar_parallel",
+             "tensor.chain_matches_components", "tensor.metric_parallel",
+             "exterior.metric_independence", "forms.derivative_agreement"]),
+    ("product_without_second_cross_term",
+     [(expr, "_mul", _product_without_second_cross_term)],
+     "all", ["expr.jets_match_finite_differences", "frames.lie_jacobi",
+             "exterior.d_squared"]),
 ]
 
 

@@ -8,8 +8,7 @@ import pytest
 
 from gcalc import blades as bl
 from gcalc import expr as ex
-from gcalc.algebra import Multivector, as_gram, dot as mv_dot, gp, \
-    reverse as mv_reverse, wedge as mv_wedge
+from gcalc.algebra import Multivector, as_gram, dot as mv_dot, wedge as mv_wedge
 from gcalc.connection import conn_spec, gamma_jets, levi_civita, contorsion_apply
 from gcalc.errors import (GradeMismatch, MixedGrade, NonScalarOutput,
                           SignatureMismatch, SlotGradeError)
