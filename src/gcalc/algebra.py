@@ -1,34 +1,38 @@
 """Clifford algebra over an arbitrary symmetric nondegenerate Gram matrix.
 
-Multivectors are sparse maps from basis blades (bitmasks, ascending index
-convention) to float coefficients.  The geometric product has one
-definition, the product kernel on the blade axis in :mod:`gcalc.blades`.  A
-:class:`Gram` applies it once, to the identity, to fill its
-structure-constant table
+A multivector is one read-only float row on the blade axis: 2^n entries,
+indexed by blade bitmask (ascending index convention).  The geometric
+product has one definition, the product kernel on the blade axis in
+:mod:`gcalc.blades`.  A :class:`Gram` applies it once, to the identity, to
+fill its structure-constant table
 
     E_a E_b = sum_c T[a, b, c] E_c,
 
-and every float product here is a contraction with that table, as in the
-bitmask algebras of Dorst, Fontijne and Mann (2007, ch. 19).  The same table
-serves every signature, including indefinite ones.
+and every float product here is one contraction of the outer product of two
+rows with a table the kernel built, as in the bitmask algebras of Dorst,
+Fontijne and Mann (2007, ch. 19).  The same table serves every signature,
+including indefinite ones.
 
 Derived products follow the usual grade-projection definitions:
 
-    wedge   <A_j B_k>_{j+k}     (metric free, computed directly on masks)
+    wedge   <A_j B_k>_{j+k}     (the kernel under the zero metric)
     dot     <A_j B_k>_{k-j}     (zero when j > k; the table masked to those grades)
 
 and the dual is A I^{-1} with I the orientation-bearing unit pseudoscalar.
+I^{-1} is a multiple of the top blade, so the dual is the slice of the
+table at that blade, scaled by a constant of the Gram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import blades
-from .errors import DimMismatch, MixedGrade, SingularFrame, SingularGram
+from .errors import (BladeKeyError, DimMismatch, MixedGrade, SingularFrame,
+                     SingularGram)
 
 _EIG_RTOL = 1e-12
 
@@ -77,6 +81,13 @@ class Gram:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def dual_scale(self) -> float:
+        """I[top] / (I I) for the positively oriented unit pseudoscalar I, so
+        that I^{-1} = orientation * dual_scale * E_top."""
+        I = pseudoscalar(self)
+        return I.row[-1] * (1.0 / gp(I, I, self).row[0])
+
     def __repr__(self):
         return f"Gram({self.matrix.tolist()!r})"
 
@@ -85,16 +96,47 @@ def as_gram(g) -> Gram:
     return g if isinstance(g, Gram) else Gram(g)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=8)
+def _grades(n: int) -> np.ndarray:
+    """The grade of each blade mask 0..2^n - 1, read-only."""
+    k = np.array([m.bit_count() for m in range(1 << n)])
+    k.setflags(write=False)
+    return k
+
+
 class Multivector:
-    """Immutable sparse multivector over n anonymous frame vectors."""
+    """Immutable multivector over n anonymous frame vectors: ``row`` is a
+    read-only float array of length 2^n, indexed by blade mask.
 
-    dim: int
-    coeffs: dict = field(default_factory=dict)
+    ``coeffs`` may be a blade map (a dict from masks to coefficients) or an
+    array of 2^n entries, which is copied.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs",
-                           {m: float(c) for m, c in self.coeffs.items() if c != 0.0})
+    __slots__ = ("dim", "row")
+
+    def __new__(cls, dim: int, coeffs=None):
+        size = 1 << dim
+        if coeffs is None or isinstance(coeffs, dict):
+            row = np.zeros(size)
+            for m, c in (coeffs or {}).items():
+                if not (isinstance(m, (int, np.integer)) and 0 <= m < size):
+                    raise BladeKeyError(f"blade mask {m!r} is not in 0..{size - 1}")
+                row[m] = c
+        else:
+            row = np.array(coeffs, dtype=float)
+            if row.shape != (size,):
+                raise DimMismatch(f"a multivector over {dim} vectors has {size} "
+                                  f"entries, not shape {row.shape}")
+        return _wrap(dim, row)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Multivector is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Multivector is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Multivector, (self.dim, self.row)
 
     # constructors ---------------------------------------------------------
 
@@ -115,7 +157,6 @@ class Multivector:
     @classmethod
     def blade(cls, dim: int, indices, coeff: float = 1.0) -> "Multivector":
         """Wedge of 1-based frame vectors, sorted with the implied sign."""
-        mask = 0
         sign = 1.0
         acc = 0
         for i in indices:
@@ -128,30 +169,34 @@ class Multivector:
 
     # views ----------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """A new blade map of the nonzero entries, in mask order."""
+        return {m: c for m, c in enumerate(self.row.tolist()) if c != 0.0}
+
     def to_blade_map(self) -> dict:
-        return {blades.key_of(m): c for m, c in sorted(self.coeffs.items())}
+        return {blades.key_of(m): c for m, c in self.coeffs.items()}
 
     def vector_components(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for m, c in self.coeffs.items():
-            k = m.bit_count()
-            if k == 0 and c == 0.0:
-                continue
-            if k != 1:
-                raise MixedGrade("not a pure vector")
-            out[m.bit_length() - 1] = c
-        return out
+        if np.any(self.row[_grades(self.dim) != 1]):
+            raise MixedGrade("not a pure vector")
+        return self.row[1 << np.arange(self.dim)] + 0.0
 
     def grades(self):
-        return sorted({m.bit_count() for m in self.coeffs})
+        return np.unique(_grades(self.dim)[self.row != 0.0]).tolist()
 
     def norm_inf(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self.row)))
 
     def __getitem__(self, key) -> float:
         if isinstance(key, str):
             key = blades.mask_from_key(key)
-        return self.coeffs.get(key, 0.0)
+        return float(self.row[key]) + 0.0 if 0 <= key < len(self.row) else 0.0
+
+    def __eq__(self, other):
+        if not isinstance(other, Multivector):
+            return NotImplemented
+        return self.dim == other.dim and np.array_equal(self.row, other.row)
 
     # plain linear structure -------------------------------------------------
 
@@ -159,20 +204,17 @@ class Multivector:
         if isinstance(other, Multivector):
             if other.dim != self.dim:
                 raise DimMismatch("dimension mismatch in addition")
-            out = dict(self.coeffs)
-            for m, c in other.coeffs.items():
-                out[m] = out.get(m, 0.0) + c
-            return Multivector(self.dim, out)
+            return _wrap(self.dim, self.row + other.row)
         if isinstance(other, (int, float)):
-            out = dict(self.coeffs)
-            out[0] = out.get(0, 0.0) + other
-            return Multivector(self.dim, out)
+            row = self.row.copy()
+            row[0] += other
+            return _wrap(self.dim, row)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.dim, {m: -c for m, c in self.coeffs.items()})
+        return _wrap(self.dim, -self.row)
 
     def __sub__(self, other):
         if isinstance(other, (Multivector, int, float)):
@@ -184,13 +226,22 @@ class Multivector:
 
     def __mul__(self, s):
         if isinstance(s, (int, float)):
-            return Multivector(self.dim, {m: c * s for m, c in self.coeffs.items()})
+            return _wrap(self.dim, self.row * s)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self):
         return f"Multivector({self.dim}, {self.to_blade_map()!r})"
+
+
+def _wrap(dim: int, row: np.ndarray) -> Multivector:
+    """A multivector over a fresh row that nothing else holds, not copied."""
+    row.setflags(write=False)
+    mv = object.__new__(Multivector)
+    object.__setattr__(mv, "dim", dim)
+    object.__setattr__(mv, "row", row)
+    return mv
 
 
 def _check_pair(A: Multivector, B: Multivector, g: Gram):
@@ -202,13 +253,9 @@ def _check_pair(A: Multivector, B: Multivector, g: Gram):
 
 def _contract(A: Multivector, B: Multivector, table: np.ndarray) -> Multivector:
     """sum_{a,b} A^a B^b table[a, b, :] as a multivector."""
-    size = table.shape[0]
-    a = np.zeros(size)
-    b = np.zeros(size)
-    a[list(A.coeffs)] = list(A.coeffs.values())
-    b[list(B.coeffs)] = list(B.coeffs.values())
-    out = b @ (a @ table.reshape(size, size * size)).reshape(size, size)
-    return Multivector(A.dim, dict(enumerate(out.tolist())))
+    size = len(A.row)
+    return _wrap(A.dim, (A.row[:, None] * B.row).reshape(-1)
+                 @ table.reshape(size * size, size))
 
 
 def gp(A: Multivector, B: Multivector, g) -> Multivector:
@@ -218,23 +265,31 @@ def gp(A: Multivector, B: Multivector, g) -> Multivector:
     return _contract(A, B, g.table)
 
 
+@lru_cache(maxsize=8)
+def _wedge_table(n: int) -> np.ndarray:
+    """Structure constants of the outer product: the product kernel under
+    the zero metric applied to the identity, read-only."""
+    size = 1 << n
+    table = blades.left_products(None, range(size), np.eye(size)).value
+    table.setflags(write=False)
+    return table
+
+
 def wedge(A: Multivector, B: Multivector) -> Multivector:
     """Outer product; metric free."""
     _check_pair(A, B, None)
-    return Multivector(A.dim, blades.wedge_generic(A.coeffs, B.coeffs))
+    return _contract(A, B, _wedge_table(A.dim))
 
 
 def grade(A: Multivector, k: int) -> Multivector:
     """Grade-k part; grades outside 0..dim are empty."""
-    if k < 0 or k > A.dim:
-        return Multivector(A.dim, {})
-    return Multivector(A.dim, blades.grade_select(A.coeffs, k))
+    return _wrap(A.dim, np.where(_grades(A.dim) == k, A.row, 0.0))
 
 
 @lru_cache(maxsize=8)
 def _contraction_mask(n: int) -> np.ndarray:
     """mask[a, b, c]: grade(c) = grade(b) - grade(a), so grade(a) <= grade(b)."""
-    k = np.array([m.bit_count() for m in range(1 << n)])
+    k = _grades(n)
     mask = k[None, None, :] == k[None, :, None] - k[:, None, None]
     mask.setflags(write=False)
     return mask
@@ -251,11 +306,8 @@ def dot(A: Multivector, B: Multivector, g) -> Multivector:
 
 
 def reverse(A: Multivector) -> Multivector:
-    out = {}
-    for m, c in A.coeffs.items():
-        k = m.bit_count()
-        out[m] = -c if (k * (k - 1) // 2) & 1 else c
-    return Multivector(A.dim, out)
+    """Grade k scaled by (-1)^(k(k-1)/2)."""
+    return _wrap(A.dim, np.where(_grades(A.dim) & 2, -A.row, A.row))
 
 
 def pseudoscalar(g, orientation: int = 1) -> Multivector:
@@ -271,14 +323,17 @@ def pseudoscalar(g, orientation: int = 1) -> Multivector:
 
 
 def dual(A: Multivector, g, orientation: int = 1) -> Multivector:
-    """A I^{-1} with I the oriented unit pseudoscalar of g."""
+    """A I^{-1} with I the unit pseudoscalar of g of orientation +1 or -1.
+
+    I^{-1} = orientation * s * E_top with s = ``g.dual_scale``, so the dual
+    is one contraction of A with the table's slice at the top blade.
+    """
     g = as_gram(g)
     if g.n != A.dim:
         raise DimMismatch("Gram dimension differs from multivector dimension")
-    I = pseudoscalar(g, orientation)
-    s = gp(I, I, g)[0]
-    I_inv = I * (1.0 / s)
-    return gp(A, I_inv, g)
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    return _wrap(A.dim, (A.row @ g.table[:, -1, :]) * (orientation * g.dual_scale))
 
 
 def reciprocal_frame(frame_rows, g_coord) -> np.ndarray:

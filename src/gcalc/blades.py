@@ -18,7 +18,8 @@ made of the wedge and interior gather tables of :func:`blade_tensors`
 :func:`left_products` is that recursion, on float arrays and on jets over a
 matrix-jet Gram alike, and :func:`product` sums it into A B, masks it by
 grade into A . B, or drops the metric for A ^ B.  The structure-constant
-table of :mod:`gcalc.algebra` is the recursion applied to the identity, and
+tables of :mod:`gcalc.algebra` are the recursion applied to the identity,
+under a Gram and under the zero metric, and
 :func:`gp_generic` and :func:`dot_generic` are the product between blade
 maps of floats.
 

@@ -103,8 +103,7 @@ def field_jets(field, point, order: int) -> Jet:
 def eval_field(field, point) -> Multivector:
     """Field value at a point as a multivector."""
     point = tuple(float(p) for p in point)
-    values = field_jets(field, point, 0).value
-    return Multivector(len(point), dict(enumerate(values.tolist())))
+    return Multivector(len(point), field_jets(field, point, 0).value)
 
 
 # The blade axis is dense, so an operator's work and memory grow as n^4 2^n;
@@ -168,8 +167,7 @@ def mdd(spec, a, field, point) -> Multivector:
     if not dirs:
         return Multivector(n, {})
     weights = np.array([float(a[i]) for i in dirs])
-    values = weights @ _mdd_basis_jets(spec, dirs, field, point, 0).value
-    return Multivector(n, dict(enumerate(values.tolist())))
+    return Multivector(n, weights @ _mdd_basis_jets(spec, dirs, field, point, 0).value)
 
 
 def _contract_field(spec, field, combine: str) -> DerivedField:
@@ -318,7 +316,7 @@ def second_ops(spec, field, point, a=None) -> dict:
                 gram, recip[i], bl.product(gram, recip[j], dd[i, j])).value
     for name, values in (("dot_dot", np.einsum("ij,ija->a", ginv, dd)),
                          ("wedge_wedge", wedge_wedge), ("gp_gp", gp_gp)):
-        out[name] = Multivector(n, dict(enumerate(values.tolist())))
+        out[name] = Multivector(n, values)
     if a is not None:
         out["directional"] = mdd(spec, a, field, point)
     return out

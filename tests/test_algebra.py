@@ -1,13 +1,16 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from gcalc import blades
 from gcalc.algebra import (Gram, LinMap, Multivector, dot, dual, gp, grade,
-                           pseudoscalar, reciprocal_frame, trace_rot,
+                           pseudoscalar, reciprocal_frame, reverse, trace_rot,
                            tsa_decompose, wedge)
-from gcalc.errors import DimMismatch, MixedGrade, SingularFrame, SingularGram
+from gcalc.errors import (BladeKeyError, DimMismatch, MixedGrade, SingularFrame,
+                          SingularGram)
 from gcalc.expr import Coord, Num, eval_jet
 from gcalc.jets import Jet
 
@@ -227,6 +230,75 @@ class TestGeometricProduct:
         for arr in (g.matrix, g.inverse, g.table, g.dot_table):
             with pytest.raises(ValueError):
                 arr[0, 0] = 2.0
+
+
+class TestRow:
+    """A multivector is one read-only float row of 2^n entries."""
+
+    def test_row_is_read_only(self):
+        A = Multivector(2, {1: 1.0, 3: 2.0})
+        g = Gram(np.diag([1.0, -1.0]))
+        for mv in (A, A + A, -A, A * 2.0, A + 1.0, gp(A, A, g), dot(A, A, g),
+                   wedge(A, A), dual(A, g), grade(A, 1), reverse(A)):
+            assert mv.row.shape == (4,)
+            with pytest.raises(ValueError):
+                mv.row[0] = 5.0
+
+    def test_attributes_cannot_be_set(self):
+        A = Multivector(2, {1: 1.0})
+        for name, value in (("dim", 3), ("row", np.zeros(4)), ("coeffs", {}),
+                            ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(A, name, value)
+        with pytest.raises(AttributeError):
+            del A.dim
+        assert A.dim == 2 and A.coeffs == {1: 1.0}
+        assert copy.deepcopy(A) == A and pickle.loads(pickle.dumps(A)) == A
+
+    def test_source_array_is_copied(self):
+        src = np.array([1.0, 0.0, 2.0, 3.0])
+        A = Multivector(2, src)
+        src[0] = 9.0
+        assert src.flags.writeable
+        assert A.coeffs == {0: 1.0, 2: 2.0, 3: 3.0}
+
+    def test_coeffs_are_the_nonzero_entries(self):
+        A = Multivector(2, np.array([0.0, -0.0, -1.5, 2.0]))
+        assert A.coeffs == {2: -1.5, 3: 2.0}
+        assert list(Multivector(3, {7: 1.0, 1: 2.0, 4: 0.0}).coeffs) == [1, 7]
+        A.coeffs[0] = 4.0
+        assert A.coeffs == {2: -1.5, 3: 2.0}
+        assert all(type(c) is float for c in A.coeffs.values())
+
+    def test_equality_and_no_hash(self):
+        A = Multivector(2, {1: 1.0, 2: -0.0})
+        assert A == Multivector(2, np.array([0.0, 1.0, 0.0, 0.0]))
+        assert A != Multivector(2, {1: 1.0, 2: 1e-300})
+        assert A != Multivector(3, {1: 1.0})
+        assert A != {1: 1.0}
+        with pytest.raises(TypeError):
+            hash(A)
+
+    def test_repr_and_blade_map(self):
+        cases = [
+            (Multivector(3, {0: 1.5, 0b101: -2.0, 0b111: 0.25}),
+             "Multivector(3, {'': 1.5, '1,3': -2.0, '1,2,3': 0.25})"),
+            (Multivector(2, {}), "Multivector(2, {})"),
+            (Multivector.blade(4, [3, 1], 2.0), "Multivector(4, {'1,3': -2.0})"),
+            (Multivector(2, {2: 0.0, 1: -0.0, 3: 1e-300}),
+             "Multivector(2, {'1,2': 1e-300})"),
+        ]
+        for mv, text in cases:
+            assert repr(mv) == text
+            assert repr(mv.to_blade_map()) == text[text.index("{"):-1]
+
+    def test_out_of_range_mask_and_wrong_length(self):
+        for key in (4, -1, 2.0, "1"):
+            with pytest.raises(BladeKeyError):
+                Multivector(2, {key: 1.0})
+        for row in (np.zeros(3), np.zeros(8), np.zeros((2, 2)), 1.0):
+            with pytest.raises(DimMismatch):
+                Multivector(2, row)
 
 
 def _pushed(M, x):
@@ -473,6 +545,16 @@ class TestWedgeDotGrade:
                 worst = max(worst, _dev(dot(A, B, g), want))
         assert worst < 1e-10
 
+    def test_wedge_table_against_blade_loop(self):
+        # the table is the kernel under the zero metric; wedge_generic is a
+        # loop over blade pairs that shares nothing with it
+        rng = np.random.default_rng(71)
+        for n in range(1, 7):
+            for _ in range(4):
+                A, B = (Multivector(n, rng.normal(size=1 << n)) for _ in range(2))
+                want = Multivector(n, blades.wedge_generic(A.coeffs, B.coeffs))
+                assert _dev(wedge(A, B), want) < 1e-13
+
     def test_grade_selection(self):
         m = Multivector(3, {0: 1.0, 0b11: 2.0, 0b111: 3.0})
         assert grade(m, 2).to_blade_map() == {"1,2": pytest.approx(2.0)}
@@ -522,6 +604,31 @@ class TestDual:
                         lhs2 = dual(wedge(A, B), g)
                         rhs2 = dot(A, dual(B, g), g)
                         assert _dev(lhs2, rhs2) < 1e-10
+
+    def test_against_three_product_route(self):
+        # the dual as the pseudoscalar, its square and one more product
+        def reference(A, g, orientation):
+            I = pseudoscalar(g, orientation)
+            s = gp(I, I, g)[0]
+            return gp(A, I * (1.0 / s), g)
+
+        rng = np.random.default_rng(81)
+        for n in range(1, 6):
+            for indef in (False, True):
+                S, diag = _random_gram_factors(rng, n, indefinite=indef)
+                g = Gram(S @ np.diag(diag) @ S.T)
+                A = Multivector(n, rng.normal(size=1 << n))
+                for orientation in (1, -1):
+                    got, want = dual(A, g, orientation), reference(A, g, orientation)
+                    assert (got - want).norm_inf() <= 1e-12 * want.norm_inf()
+
+    def test_degenerate_pseudoscalar_raises(self):
+        g = Gram(np.eye(2) * 1e-160)
+        with pytest.raises(SingularGram, match="degenerate pseudoscalar"):
+            pseudoscalar(g)
+        for _ in range(2):
+            with pytest.raises(SingularGram, match="degenerate pseudoscalar"):
+                dual(Multivector.scalar(2, 1.0), g)
 
 
 class TestReciprocalFrame:

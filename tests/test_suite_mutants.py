@@ -6,9 +6,10 @@ checks that catch it.  Mutants are applied in-process with ``monkeypatch``,
 under every name the library and the suites bind them to.
 """
 
+import numpy as np
 import pytest
 
-from gcalc import connection, expr, manifold, mdd, suites
+from gcalc import algebra, connection, expr, manifold, mdd, suites
 from gcalc.jets import contract
 
 
@@ -34,6 +35,18 @@ def _product_without_second_cross_term(a, b, n):
     return av * bv, g, expr._outer(h, 1.0, ag, bg, n)
 
 
+_dual, _wedge_table = algebra.dual, algebra._wedge_table
+
+
+def _negated_dual(A, g, orientation=1):
+    return -_dual(A, g, orientation)
+
+
+def _unsigned_wedge_table(n):
+    """The outer-product table with every sign dropped."""
+    return np.abs(_wedge_table(n))
+
+
 def _statuses(suite):
     report = suites.run_checks(suite, samples=4)
     return {row["name"]: row["status"] for row in report["checks"]}
@@ -54,6 +67,16 @@ MUTANTS = [
      [(expr, "_mul", _product_without_second_cross_term)],
      "all", ["expr.jets_match_finite_differences", "frames.lie_jacobi",
              "exterior.d_squared"]),
+    ("negated_dual",
+     [(algebra, "dual", _negated_dual), (suites, "dual", _negated_dual)],
+     "algebra", ["algebra.dual_inverse"]),
+    ("unsigned_wedge_table",
+     [(algebra, "_wedge_table", _unsigned_wedge_table)],
+     "all", ["algebra.fundamental_identity", "algebra.vector_product_split",
+             "algebra.wedge_gram_independence",
+             "algebra.dual_exchanges_dot_and_wedge", "mdd.product_rule",
+             "exterior.graded_leibniz",
+             "tensor.conjugate_commutes_with_derivative"]),
 ]
 
 
