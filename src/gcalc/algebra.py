@@ -33,6 +33,7 @@ import numpy as np
 from . import blades
 from .errors import (BladeKeyError, DimMismatch, MixedGrade, SingularFrame,
                      SingularGram)
+from .jets import singular
 
 _EIG_RTOL = 1e-12
 
@@ -344,9 +345,7 @@ def reciprocal_frame(frame_rows, g_coord) -> np.ndarray:
     f = np.asarray(frame_rows, dtype=float)
     g = as_gram(g_coord)
     gram = f @ g.matrix @ f.T
-    det = np.linalg.det(f)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    if abs(det) < 1e-12 * scale ** f.shape[0]:
+    if singular(f):
         raise SingularFrame("frame rows are linearly dependent")
     try:
         return np.linalg.solve(gram, f)

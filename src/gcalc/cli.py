@@ -315,8 +315,8 @@ def _ast(node, coords):
 
 def cmd_parse(args):
     coords = tuple(c.strip() for c in args.coords.split(",") if c.strip())
-    if not coords:
-        raise DomainError("--coords names no coordinates")
+    if not coords or len(set(coords)) != len(coords):
+        raise DomainError("--coords must name distinct coordinates")
     node = ex.parse(args.text, coords)
     _emit({
         "canonical": ex.to_text(node, coords),

@@ -19,8 +19,7 @@ from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import value_of
 from .manifold import Chart, frame_jets
-from .mdd import (DerivedField, field_jets, from_blade_map, reexpress_field,
-                  to_blade_map)
+from .mdd import DerivedField, field_jets, from_blade_map, reexpress_field
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,8 @@ def hat_map(chart: Chart, field):
     The coordinate vectors expand over the gradient basis as e_i = g_ik dx^k,
     so the blades expand by the outermorphism of g, e_J = e_{j1} ^ ... ^ e_{jk},
     applied on the field's blade axis; the resulting dx components, read off
-    as a blade map, are the form components.  Fields over another frame are
+    as a blade map without the rows that are zero in every Taylor
+    coefficient, are the form components.  Fields over another frame are
     re-expressed first.
     """
     if field.frame != "coord":
@@ -141,8 +141,8 @@ def hat_map(chart: Chart, field):
 
     def fn(point, order):
         fj = frame_jets(chart, "coord", point, order)
-        return to_blade_map(bl.outermorphism(fj.g_coord,
-                                             field_jets(field, point, order)))
+        comps = bl.outermorphism(fj.g_coord, field_jets(field, point, order))
+        return {m: comps.take(m) for m in bl.live_masks(comps)}
 
     # mixed-grade fields are transferred grade by grade; degree is only
     # meaningful when the input is pure, so record the top populated grade

@@ -304,3 +304,9 @@ def mat_det_inv(m: Jet):
     det_hess = det * (np.outer(tr, tr) - np.einsum("iiXY->XY", a_dg2)
                       + np.einsum("iiXY->XY", a_h))
     return Jet(det, det * tr, det_hess), Jet(inv, inv_grad, inv_hess)
+
+
+def singular(m: np.ndarray) -> bool:
+    """Whether |det m| <= 1e-12 (max |m_ij|)^n: the degeneracy test of a
+    square matrix, which scaling m does not change."""
+    return abs(np.linalg.det(m)) <= 1e-12 * float(abs(m).max()) ** len(m)

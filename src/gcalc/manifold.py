@@ -30,19 +30,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import blades as bl
 from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, SingularFrame, SingularGram
-from .jets import Jet, contract, mat_det_inv
+from .jets import Jet, contract, mat_det_inv, singular
 
 _ORTHO_TOL = 1e-10
 _HOLO_TOL = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Chart:
     """A coordinate patch with a metric and named frames.
 
@@ -50,39 +52,35 @@ class Chart:
     ``contorsion`` is a sparse list of (i, j, k, expr) entries, 1-based,
     antisymmetric in (j, k); unspecified entries are zero.
     ``domain`` gives per-coordinate sampling bounds used by property suites.
+    Charts are immutable, so caches keyed on their identity cannot go stale.
     """
 
     name: str
     coords: tuple
     metric: tuple
-    frames: dict = field(default_factory=dict)
+    frames: Mapping = field(default_factory=dict)
     contorsion: tuple = ()
     orientation: int = 1
     domain: tuple = ()
 
     def __post_init__(self):
-        self.coords = tuple(self.coords)
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("coords", tuple(self.coords))
         n = len(self.coords)
-        self.metric = self._parse_rows(self.metric)
-        if len(self.metric) != n or any(len(r) != n for r in self.metric):
-            raise DimMismatch("metric must be n by n")
-        frames = {}
-        for fname, rows in self.frames.items():
-            if isinstance(rows, str) and rows == "identity":
-                continue
-            frames[fname] = self._parse_rows(rows)
-            if len(frames[fname]) != n or any(len(r) != n for r in frames[fname]):
-                raise DimMismatch(f"frame {fname!r} must be n by n")
+        put("metric", self._parse_rows(self.metric, "metric"))
+        frames = {fname: self._parse_rows(rows, f"frame {fname!r}")
+                  for fname, rows in self.frames.items()
+                  if not (isinstance(rows, str) and rows == "identity")}
         eye = tuple(tuple(ex.Num(1.0 if i == j else 0.0) for j in range(n))
                     for i in range(n))
         frames.setdefault("coord", eye)
-        self.frames = frames
-        self.contorsion = tuple((int(i), int(j), int(k), self.parse(e))
-                                for (i, j, k, e) in self.contorsion)
-        if not self.domain:
-            self.domain = tuple((-1.0, 1.0) for _ in range(n))
-        else:
-            self.domain = tuple((float(a), float(b)) for a, b in self.domain)
+        put("frames", MappingProxyType(frames))
+        put("contorsion", tuple((int(i), int(j), int(k), self.parse(e))
+                                for (i, j, k, e) in self.contorsion))
+        put("domain", tuple((float(a), float(b)) for a, b in self.domain)
+            or tuple((-1.0, 1.0) for _ in range(n)))
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
 
@@ -99,8 +97,11 @@ class Chart:
     def parse(self, text):
         return ex.parse(text, self.coords) if isinstance(text, str) else ex.as_expr(text)
 
-    def _parse_rows(self, rows) -> tuple:
-        return tuple(tuple(self.parse(e) for e in row) for row in rows)
+    def _parse_rows(self, rows, what: str) -> tuple:
+        rows = tuple(tuple(self.parse(e) for e in row) for row in rows)
+        if len(rows) != self.n or any(len(r) != self.n for r in rows):
+            raise DimMismatch(f"{what} must be n by n")
+        return rows
 
 
 @dataclass
@@ -142,23 +143,18 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     derivative, so requesting them at order d needs d+1 <= 2; they are only
     filled for order <= 1.
     """
-    n = chart.n
-    ex.check_point(point, n)
+    ex.check_point(point, chart.n)
     F = ex.eval_jet(chart.frame_rows(frame), point, order)
     g_coord = ex.eval_jet(chart.metric, point, order)
 
-    scale = max(1.0, float(np.max(np.abs(F.value))))
-    if abs(np.linalg.det(F.value)) < 1e-12 * scale ** n:
+    if singular(F.value):
         raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
 
     g_rows = contract("kl,jl->kj", g_coord, F)      # g F^T
     gram = contract("ik,kj->ij", F, g_rows)
-    try:
-        det_gram, gram_inv = mat_det_inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram(f"frame Gram is singular at {point}") from exc
-    if abs(det_gram.value) < 1e-12:
+    if singular(gram.value):
         raise SingularGram(f"frame Gram is singular at {point}")
+    det_gram, gram_inv = mat_det_inv(gram)
 
     lie = None
     dgram = None
@@ -245,7 +241,6 @@ class MultivectorField:
 
     @staticmethod
     def parse(chart: Chart, components: dict, frame: str = "coord") -> "MultivectorField":
-        from . import blades as bl
         comps = {}
         for key, e in components.items():
             mask = bl.mask_from_key(key) if isinstance(key, str) else int(key)

@@ -12,7 +12,9 @@ is a constant linear map, Lambda[j, l] lifting e_j -> e_l to blades, so all
 n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  Where
 every Taylor coefficient of Gamma_{ij}^l is zero at the point (coordinate
 frames of flat metrics without contorsion), the connection term adds only
-zeros and is skipped, lift and all.  Derived operators contract D with the
+zeros and is skipped, lift and all.  D is the one primitive: the derivative
+is linear in its direction, D_a A = a^i D[i], so :func:`mdd` is a . D and
+:func:`mdd_along_basis` is row i.  Derived operators contract D with the
 reciprocal frame:
 
     gradient   e^i D_{e_i} A  = divergence + curl
@@ -30,7 +32,8 @@ grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
 coordinates.  Changes of frame and the dual act on the same (2^n,) jet
 through :func:`gcalc.blades.outermorphism`, the grade projection is a mask
 of its rows, and the pointwise products of :func:`product_field` are the
-product kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
+product kernel :func:`gcalc.blades.product` over the jet of the frame Gram
+(the float double sums of :func:`second_ops` use the :class:`Gram` tables).
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import blades as bl
 from . import expr as ex
-from .algebra import Multivector
+from .algebra import Gram, Multivector, gp, wedge
 from .connection import ConnSpec, gamma_jets, levi_civita
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import Jet, apply_function, contract, mat_det_inv, value_of
@@ -81,12 +84,6 @@ def from_blade_map(comps: dict, n: int, order: int) -> Jet:
         for rows, part in zip(coeffs, c.coeffs if isinstance(c, Jet) else (c,)):
             rows[mask] = part
     return Jet(*coeffs)
-
-
-def to_blade_map(jet: Jet) -> dict:
-    """The blade map of scalar jets of a (2^n,) jet, without the rows that
-    are zero in every Taylor coefficient."""
-    return {m: jet.take(m) for m in bl.live_masks(jet)}
 
 
 def field_jets(field, point, order: int) -> Jet:
@@ -123,25 +120,22 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise JetBudgetExhausted("field has no derivative budget left")
 
 
-def _mdd_basis_jets(spec: ConnSpec, dirs, field, point, order: int) -> Jet:
-    """D_{e_i} field for each direction i in ``dirs``: a jet of shape
-    (len(dirs), 2^n) and the given order.
+def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
+    """D = (D_{e_1} field, ..., D_{e_n} field): a jet of shape (n, 2^n) and
+    the given order.  Every directional derivative is a contraction of it.
 
     The operand is evaluated once for all the directions.
     """
     gj = gamma_jets(spec, point, order)
-    dirs = list(dirs)
-    every = dirs == list(range(spec.n))
-    F = gj.frame.F if every else gj.frame.F.take(dirs)
     A = field_jets(field, point, order + 1)
     if gj.mixed_zero:
-        return contract("ik,ak->ia", F, A.partials())
+        return contract("ik,ak->ia", gj.frame.F, A.partials())
     # Lambda[j, l] A for every e_j -> e_l, at the order of the result; built
     # before the component term, which would otherwise add to its peak memory
     lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
                              summed=False)
-    mixed = gj.mixed if every else gj.mixed.take(dirs)
-    return contract("ik,ak->ia", F, A.partials()) + contract("ijl,jla->ia", mixed, lifted)
+    return (contract("ik,ak->ia", gj.frame.F, A.partials())
+            + contract("ijl,jla->ia", gj.mixed, lifted))
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
@@ -151,7 +145,7 @@ def mdd_along_basis(spec, i: int, field) -> DerivedField:
         raise FrameMismatch(f"basis direction {i} out of range for n={spec.n}")
 
     def fn(point, order):
-        return _mdd_basis_jets(spec, (i,), field, point, order).take(0)
+        return _mdd_basis_jets(spec, field, point, order).take(i)
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 
@@ -163,11 +157,8 @@ def mdd(spec, a, field, point) -> Multivector:
     n = spec.n
     if len(a) != n:
         raise FrameMismatch(f"direction must have {n} frame components")
-    dirs = [i for i in range(n) if float(a[i]) != 0.0]
-    if not dirs:
-        return Multivector(n, {})
-    weights = np.array([float(a[i]) for i in dirs])
-    return Multivector(n, weights @ _mdd_basis_jets(spec, dirs, field, point, 0).value)
+    a = np.asarray(a, dtype=float)
+    return Multivector(n, a @ _mdd_basis_jets(spec, field, point, 0).value)
 
 
 def _contract_field(spec, field, combine: str) -> DerivedField:
@@ -176,7 +167,7 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
     n = spec.n
 
     def fn(point, order):
-        D = _mdd_basis_jets(spec, range(n), field, point, order)
+        D = _mdd_basis_jets(spec, field, point, order)
         _, interior, wedge = bl.blade_tensors(n)
         if combine != "dot":
             # e^i ^ D_i = e_l ^ D^l, with D^l = g^{li} D_i the derivative along e^l
@@ -301,22 +292,18 @@ def second_ops(spec, field, point, a=None) -> dict:
     out = {"grad_grad": eval_field(gradient_field(spec, g1), point)}
 
     fj = frame_jets(spec.chart, spec.frame, point, 0)
-    gram, ginv = fj.gram.value, fj.gram_inv.value
+    g, ginv = Gram(fj.gram.value), fj.gram_inv.value
     # dd[i, j] = D_{e_i} D_{e_j} A and recip[i] = e^i = g^{il} e_l
-    dd = np.stack([_mdd_basis_jets(spec, range(n), mdd_along_basis(spec, j, field),
-                                   point, 0).value for j in range(n)], axis=1)
-    recip = np.zeros((n, 1 << n))
-    recip[:, 1 << np.arange(n)] = ginv
-    wedge_wedge = gp_gp = 0.0
+    dd = np.stack([_mdd_basis_jets(spec, mdd_along_basis(spec, j, field), point, 0).value
+                   for j in range(n)], axis=1)
+    recip = [Multivector.vector(row) for row in ginv]
+    out["dot_dot"] = Multivector(n, np.einsum("ij,ija->a", ginv, dd))
+    out["wedge_wedge"] = out["gp_gp"] = Multivector(n)
     for i in range(n):
         for j in range(n):
-            biv = bl.product(None, recip[i], recip[j], "wedge")
-            wedge_wedge = wedge_wedge + bl.product(gram, biv, dd[i, j]).value
-            gp_gp = gp_gp + bl.product(
-                gram, recip[i], bl.product(gram, recip[j], dd[i, j])).value
-    for name, values in (("dot_dot", np.einsum("ij,ija->a", ginv, dd)),
-                         ("wedge_wedge", wedge_wedge), ("gp_gp", gp_gp)):
-        out[name] = Multivector(n, values)
+            D = Multivector(n, dd[i, j])
+            out["wedge_wedge"] += gp(wedge(recip[i], recip[j]), D, g)
+            out["gp_gp"] += gp(recip[i], gp(recip[j], D, g), g)
     if a is not None:
         out["directional"] = mdd(spec, a, field, point)
     return out
@@ -356,21 +343,25 @@ def grade_field(field, k: int) -> DerivedField:
     return DerivedField(field.frame, field.budget, fn)
 
 
+def frame_change(chart: Chart, src_frame: str, dst_frame: str, point, order: int) -> Jet:
+    """M = F_src F_dst^{-1}, the jet whose row i holds the source frame vector
+    e_i(src) = M[i][j] e_j(dst) in destination-frame components."""
+    src = frame_jets(chart, src_frame, point, order)
+    dst = frame_jets(chart, dst_frame, point, order)
+    return contract("ik,kj->ij", src.F, mat_det_inv(dst.F)[1])
+
+
 def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> DerivedField:
     """The same geometric field with components over another frame.
 
-    Blade components transform through the linear map connecting the frames,
-    evaluated as jets so derivatives still work afterwards.
+    Blade components transform through the outermorphism of
+    :func:`frame_change`, as jets so derivatives still work afterwards.
     """
     if field.frame != src_frame:
         raise FrameMismatch("field is not expressed in the stated source frame")
 
     def fn(point, order):
-        src = frame_jets(chart, src_frame, point, order)
-        dst = frame_jets(chart, dst_frame, point, order)
-        # rows of M: source frame vectors in destination-frame components,
-        # e_i(src) = M[i][j] e_j(dst) with M = F_src F_dst^{-1}
-        M = contract("ik,kj->ij", src.F, mat_det_inv(dst.F)[1])
+        M = frame_change(chart, src_frame, dst_frame, point, order)
         return bl.outermorphism(M, field_jets(field, point, order))
 
     return DerivedField(dst_frame, field.budget, fn)

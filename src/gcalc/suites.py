@@ -141,17 +141,30 @@ def _basis_fields(n, frame="coord"):
     return [MultivectorField(frame, {1 << i: ex.Num(1.0)}) for i in range(n)]
 
 
-_FLAT_CLONES = {}
+_BUILT_CHARTS = {}   # charts the suites build, once per process, by name
 
 
 def _flat_clone(chart):
     """Same coordinates and sampling box, identity metric."""
-    if chart.name not in _FLAT_CLONES:
+    name = chart.name + "_flat"
+    if name not in _BUILT_CHARTS:
         n = chart.n
         eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
-        _FLAT_CLONES[chart.name] = Chart(chart.name + "_flat", chart.coords,
-                                         eye, {}, domain=chart.domain)
-    return _FLAT_CLONES[chart.name]
+        _BUILT_CHARTS[name] = Chart(name, chart.coords, eye, domain=chart.domain)
+    return _BUILT_CHARTS[name]
+
+
+def _curved3():
+    """A 3-D chart with a varying metric and a frame whose vectors do not commute."""
+    if "curved3" not in _BUILT_CHARTS:
+        _BUILT_CHARTS["curved3"] = Chart(
+            "curved3", ("x", "y", "z"),
+            (("1 + x^2", "0.3*y", "0.1*z"), ("0.3*y", "2 + y*z", "0.2*x"),
+             ("0.1*z", "0.2*x", "1.5 + 0.5*sin(x)")),
+            {"twist": (("1", "0.2*y", "0"), ("0.1*z", "1", "0.3*x"),
+                       ("0", "0.2*x*y", "1"))},
+            domain=((-0.5, 0.5),) * 3)
+    return _BUILT_CHARTS["curved3"]
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +544,8 @@ def _chk_commutator_jacobi(rng, samples):
     each side summed over the cyclic permutations of (i, j, k).  On 2-D
     frames both sides vanish; the 3-D chart has a frame whose vectors do not
     commute and a Gram that varies."""
-    twist = Chart("curved3", ("x", "y", "z"),
-                  (("1 + x^2", "0.3*y", "0.1*z"),
-                   ("0.3*y", "2 + y*z", "0.2*x"),
-                   ("0.1*z", "0.2*x", "1.5 + 0.5*sin(x)")),
-                  {"twist": (("1", "0.2*y", "0"),
-                             ("0.1*z", "1", "0.3*x"),
-                             ("0", "0.2*x*y", "1"))},
-                  domain=((-0.5, 0.5),) * 3)
     setups = ((_chart("sphere2"), "ortho"), (_chart("polar2"), "skew"),
-              (twist, "twist"))
+              (_curved3(), "twist"))
     dev = 0.0
     for s in range(samples):
         chart, frame = setups[s % 3]

@@ -28,13 +28,14 @@ import numpy as np
 
 from . import blades as bl
 from . import expr as ex
-from .algebra import Multivector
-from .connection import ConnSpec
+from .algebra import (Multivector, as_gram, dot as mv_dot, reverse as mv_reverse,
+                      wedge as mv_wedge)
+from .connection import ConnSpec, conn_spec, gamma_jets
 from .errors import (FrameMismatch, GradeMismatch, MixedGrade,
                      NonScalarOutput, SignatureMismatch, SlotGradeError)
 from .jets import Jet, contract as contract_jets
 from .manifold import Chart, FrameAt, MultivectorField, eval_frame, frame_jets
-from .mdd import DerivedField, eval_field, field_jets, mdd
+from .mdd import DerivedField, eval_field, field_jets, frame_change, mdd
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,6 @@ def tensor_derivative_components(spec: ConnSpec, T: TensorField, point) -> np.nd
     if sig.output != 0 or any(k != 1 for k in sig.inputs):
         raise SlotGradeError("component formula needs grade-1 slots and "
                              "scalar output")
-    from .connection import gamma_jets
-
     point = tuple(float(p) for p in point)
     n = T.n
     rank = sig.rank
@@ -262,8 +261,6 @@ def metric_tensor_field(chart: Chart, frame: str = "coord") -> TensorField:
 
 def contorsion_tensor(chart: Chart, frame: str, chi) -> TensorField:
     """Q(e_i, e_j) = chi_ijk e^k as a tensor field of signature (1,1:1)."""
-    from .connection import conn_spec
-
     spec = conn_spec(chart, frame, chi)
     comps: dict = {}
     for (i, j, k, e) in spec.chi:
@@ -342,8 +339,6 @@ def conjugate_derivative_check(spec: ConnSpec, field: MultivectorField, a,
     n = chart.n
     rng = rng or np.random.default_rng(0)
 
-    from .algebra import as_gram, dot as mv_dot, reverse as mv_reverse, wedge as mv_wedge
-
     frame_at = eval_frame(chart, frame, point)
     gram = as_gram(frame_at.gram)
     db = mdd(spec, a, field, point)
@@ -370,10 +365,8 @@ def change_of_frame_matrix(chart: Chart, frame_a: str, frame_b: str,
 
     Rows are frame_a vectors, columns reciprocal vectors of frame_b; slot
     components transform as T'_{ab...} = P[a, c] P[b, d] ... T_{cd...}.
+    With e^c = G_b^{cd} e_d and G_b = F_b g F_b^T, P = F_a g F_b^T G_b^{-1}
+    = F_a F_b^{-1}: :func:`gcalc.mdd.frame_change` at order 0, which reads no
+    metric.
     """
-    point = tuple(float(p) for p in point)
-    fa = eval_frame(chart, frame_a, point)
-    fb = eval_frame(chart, frame_b, point)
-    g = np.array([[ex.eval_value(chart.metric[i][j], point)
-                   for j in range(chart.n)] for i in range(chart.n)])
-    return fa.rows @ g @ fb.reciprocal.T
+    return frame_change(chart, frame_a, frame_b, tuple(float(p) for p in point), 0).value

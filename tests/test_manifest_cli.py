@@ -294,6 +294,29 @@ class TestEval:
                        "--field", "phi: x", "--point", "x=1,q=2")
         assert proc.returncode == 2
 
+    def test_zero_direction_is_evaluated(self):
+        # D_0 A is zero where the chart is regular, and the pole is refused
+        out = run_json("eval", "sphere2", "--op", "mdd", "--dir", "1=0",
+                       "--field", "phi: theta", "--point", "theta=0.5,phi=0.2")
+        assert out == {}
+        proc = run_cli("eval", "sphere2", "--op", "mdd", "--dir", "1=0",
+                       "--field", "phi: theta", "--point", "theta=0,phi=0.2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("gcalc: error: frame Gram is singular")
+
+    def test_small_scale_metric_accepted(self):
+        doc = {"name": "x", "coordinates": ["u", "v"],
+               "metric": [["1e-7", "0"], ["0", "1e-7"]]}
+        out = run_json("eval", json.dumps(doc), "--op", "grad",
+                       "--field", "p: u", "--point", "u=0.5,v=0")
+        assert out == {"1": pytest.approx(1e7, rel=1e-14)}
+        doc = {"name": "x", "coordinates": ["u", "v"],
+               "metric": [["1", "0"], ["0", "1"]],
+               "frames": {"f": [["1e-7", "0"], ["0", "1e-7"]]}}
+        out = run_json("eval", json.dumps(doc), "--op", "grad", "--frame", "f",
+                       "--field", "p: u", "--point", "u=0.5,v=0")
+        assert out == {"1": pytest.approx(1e7, rel=1e-14)}
+
     def test_ortho_frame_inline_field(self):
         # unit-speed phi derivative of a scalar: (1/sin theta) d/dphi
         out = run_json("eval", "sphere2", "--op", "mdd",
@@ -466,6 +489,12 @@ class TestParse:
     def test_unknown_name_exits_two(self):
         proc = run_cli("parse", "--coords", "x", "--text", "x + y")
         assert proc.returncode == 2
+
+    def test_duplicate_coordinates_exit_two(self):
+        proc = run_cli("parse", "--coords", "x,x", "--text", "x")
+        assert proc.returncode == 2
+        assert proc.stderr == "gcalc: error: --coords must name distinct coordinates\n"
+        assert proc.stdout == ""
 
 
 class TestManifestFiles:

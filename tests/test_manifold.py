@@ -1,16 +1,20 @@
 """Frame evaluation, Lie brackets, and frame classification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gcalc import expr as ex
-from gcalc.errors import DimMismatch, FrameMismatch, SingularFrame
+from gcalc.algebra import reciprocal_frame
+from gcalc.connection import levi_civita
+from gcalc.errors import DimMismatch, FrameMismatch, SingularFrame, SingularGram
 from gcalc.manifest import ManifestError, builtin, load_manifest
-from gcalc.manifold import (Chart, bracket, classify_frame, dirderiv_scalar,
-                            eval_frame, frame_jets, gradient_basis, lie_bracket,
-                            sample_point)
+from gcalc.manifold import (Chart, MultivectorField, bracket, classify_frame,
+                            dirderiv_scalar, eval_frame, frame_jets, gradient_basis,
+                            lie_bracket, sample_point)
+from gcalc.mdd import gradient
 
 RNG = np.random.default_rng(512)
 
@@ -309,6 +313,61 @@ class TestChartConstruction:
         a = frame_jets(chart, "ortho", (0.5, 0.25), 1)
         b = frame_jets(chart, "ortho", (0.5, 0.25), 1)
         assert a is b
+
+    def test_chart_is_immutable(self):
+        chart = chart_of("sphere2")
+        for f in dataclasses.fields(Chart):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(chart, f.name, getattr(chart, f.name))
+        with pytest.raises(TypeError):
+            chart.frames["ortho"] = chart.frames["coord"]
+        with pytest.raises(TypeError):
+            del chart.frames["ortho"]
+        assert set(chart.frames) == {"coord", "ortho"}
+
+
+class TestScaleFreeDegeneracy:
+    """The frame and frame-Gram tests compare |det M| with (max |M_ij|)^n, so
+    a chart whose metric or frame is scaled by 1e-7 is accepted, and its
+    gradient is the unscaled one divided by the scale."""
+
+    S = 1e-7
+    POINT = (0.4, -0.3)
+    PHI = "u*v + sin(u)"
+
+    def chart(self, metric_scale, frame_scale):
+        m, f = repr(metric_scale), repr(frame_scale)
+        return Chart(name="scaled", coords=("u", "v"),
+                     metric=[[f"{m}*(2 + u)", f"{m}*0.3"],
+                             [f"{m}*0.3", f"{m}*(1 + v^2)"]],
+                     frames={"f": [[f, f"{f}*0.2*v"], ["0", f]]})
+
+    def grad(self, chart, frame):
+        phi = MultivectorField.scalar(chart, self.PHI, frame)
+        return gradient(levi_civita(chart, frame), phi, self.POINT).row
+
+    @pytest.mark.parametrize("frame", ["coord", "f"])
+    def test_scaled_metric(self, frame):
+        want = self.grad(self.chart(1.0, 1.0), frame)
+        got = self.grad(self.chart(self.S, 1.0), frame)
+        assert np.max(np.abs(got * self.S - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_scaled_frame(self):
+        want = self.grad(self.chart(1.0, 1.0), "f")
+        got = self.grad(self.chart(1.0, self.S), "f")
+        assert np.max(np.abs(got * self.S - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_scaled_reciprocal_frame(self):
+        F = np.array([[1.0, 0.2], [0.0, 1.0]])
+        g = np.array([[2.0, 0.3], [0.3, 1.0]])
+        want = reciprocal_frame(F, g)
+        assert np.allclose(reciprocal_frame(self.S * F, g) * self.S, want,
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-7])
+    def test_sphere_pole_still_refused(self, theta):
+        with pytest.raises(SingularGram):
+            frame_jets(chart_of("sphere2"), "coord", (theta, 0.2), 0)
 
 
 class TestManifest:

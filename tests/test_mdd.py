@@ -11,7 +11,7 @@ from gcalc import mdd as md
 from gcalc.algebra import (Multivector, as_gram, dot as mv_dot, dual,
                            wedge as mv_wedge)
 from gcalc.connection import conn_spec, levi_civita
-from gcalc.errors import FrameMismatch, JetBudgetExhausted
+from gcalc.errors import FrameMismatch, JetBudgetExhausted, SingularGram
 from gcalc.manifest import builtin, builtin_names, load_manifest
 from gcalc.manifold import (Chart, MultivectorField, dirderiv_scalar,
                             eval_frame, frame_jets, sample_point)
@@ -47,7 +47,7 @@ def basis_direction(n, i):
     return [1.0 if k == i else 0.0 for k in range(n)]
 
 
-def mixed_grade_field(chart, rng):
+def mixed_grade_field(chart, rng, frame="coord"):
     """Every blade of the chart, each a random product of sines of its
     coordinates, so no component derivative vanishes by accident."""
     comps = {}
@@ -55,7 +55,7 @@ def mixed_grade_field(chart, rng):
         terms = [f"sin({rng.uniform(0.3, 1.2)!r}*{c} + {rng.uniform(-1, 1)!r})"
                  for c in chart.coords]
         comps[mask] = f"{rng.uniform(0.5, 2.0)!r}*" + "*".join(terms)
-    return MultivectorField.parse(chart, comps)
+    return MultivectorField.parse(chart, comps, frame)
 
 
 class TestConnectionTermSkip:
@@ -73,10 +73,9 @@ class TestConnectionTermSkip:
         spec = levi_civita(chart, "coord")
         field = mixed_grade_field(chart, rng)
         points = [sample_point(chart, rng) for _ in range(3)]
-        n = chart.n
-        calls = [lambda p: md._mdd_basis_jets(spec, range(n), field, p, 1),
-                 lambda p: md._mdd_basis_jets(spec, range(n), field, p, 0),
-                 lambda p: md._mdd_basis_jets(spec, [1], field, p, 1),
+        calls = [lambda p: md._mdd_basis_jets(spec, field, p, 1),
+                 lambda p: md._mdd_basis_jets(spec, field, p, 0),
+                 lambda p: md._mdd_basis_jets(spec, field, p, 1).take(1),
                  lambda p: field_jets(gradient_field(spec, field), p, 1),
                  lambda p: field_jets(curl_field(spec, curl_field(spec, field)), p, 0)]
         for p in points:
@@ -104,7 +103,7 @@ class TestConnectionTermSkip:
         apply_blades = bl.apply_blades
         monkeypatch.setattr(bl, "apply_blades",
                             lambda *a, **k: lifts.append(1) or apply_blades(*a, **k))
-        D = md._mdd_basis_jets(spec, range(chart.n), field, point, 0)
+        D = md._mdd_basis_jets(spec, field, point, 0)
         assert lifts
         F = connection.gamma_jets(spec, point, 0).frame.F.value
         derivs = np.einsum("ik,ak->ia", F, field_jets(field, point, 1).grad)
@@ -166,6 +165,55 @@ class TestDirectional:
         field = MultivectorField("ortho", {1: ex.Num(1.0)})
         with pytest.raises(FrameMismatch):
             mdd(spec, [1.0, 0.0], field, (0.8, 0.3))
+
+
+def mdd_over_nonzero_weights(spec, a, field, point):
+    """D_a field by the formula mdd used while it differentiated only along
+    the directions a weights: those weights times those rows of D, so zero
+    for a = 0."""
+    dirs = [i for i in range(spec.n) if float(a[i]) != 0.0]
+    weights = np.array([float(a[i]) for i in dirs])
+    return weights @ md._mdd_basis_jets(spec, field, point, 0).value[dirs]
+
+
+class TestDirectionIsContractionOfD:
+    """mdd is a . D over all n rows of D.  Basis, dense and zero directions
+    give the nonzero-weights formula bit for bit (up to the sign of zero); a
+    sparse direction in 4-D sums its terms in another order, so it agrees to
+    rounding."""
+
+    SETUPS = [
+        (conn_spec(SPHERE, "ortho", CHI_SPHERE),
+         [[1.0, 0.0], [0.0, 1.0], [0.0, -1.3], [0.7, -0.4], [0.0, 0.0]]),
+        (levi_civita(POLAR, "skew"),
+         [[1.0, 0.0], [0.0, 1.0], [2.1, 0.0], [-0.6, 1.5], [0.0, 0.0]]),
+        (levi_civita(MINKOWSKI, "coord"),
+         [basis_direction(4, 2), [0.3, 0.0, -1.2, 0.0], [0.0, 0.8, 0.5, -1.1],
+          [0.3, -0.8, 1.1, 0.45], [0.0] * 4]),
+    ]
+
+    @pytest.mark.parametrize("spec,directions", SETUPS,
+                             ids=["sphere2_ortho_chi", "polar2_skew", "minkowski4"])
+    def test_against_nonzero_weights(self, spec, directions):
+        rng = np.random.default_rng(25)
+        field = mixed_grade_field(spec.chart, rng, spec.frame)
+        for point in [sample_point(spec.chart, rng) for _ in range(3)]:
+            D = md._mdd_basis_jets(spec, field, point, 0).value
+            for a in directions:
+                got = mdd(spec, a, field, point).row
+                want = mdd_over_nonzero_weights(spec, a, field, point)
+                if np.count_nonzero(a) in (0, 1, spec.n):
+                    assert np.array_equal(got, want)
+                else:
+                    bound = 4 * np.finfo(float).eps * (np.abs(a) @ np.abs(D))
+                    assert np.all(np.abs(got - want) <= bound)
+
+    def test_zero_direction_evaluates_the_point(self):
+        spec = levi_civita(SPHERE, "coord")
+        field = MultivectorField.scalar(SPHERE, "theta")
+        assert mdd(spec, [0.0, 0.0], field, (0.9, 0.2)).norm_inf() == 0.0
+        with pytest.raises(SingularGram):
+            mdd(spec, [0.0, 0.0], field, (0.0, 0.2))
 
 
 class TestLeibniz:
@@ -470,7 +518,42 @@ class TestDual:
             assert {bl.grade_of(m) for m in bl.live_masks(part)} == {k}
 
 
+def double_sums_by_blade_products(spec, field, point):
+    """dot_dot, wedge_wedge and gp_gp by the loop second_ops ran before it
+    multiplied through the Gram tables: blades.product on float rows."""
+    n = spec.n
+    fj = frame_jets(spec.chart, spec.frame, point, 0)
+    gram, ginv = fj.gram.value, fj.gram_inv.value
+    dd = np.stack([md._mdd_basis_jets(spec, mdd_along_basis(spec, j, field),
+                                      point, 0).value for j in range(n)], axis=1)
+    recip = np.zeros((n, 1 << n))
+    recip[:, 1 << np.arange(n)] = ginv
+    wedge_wedge = gp_gp = 0.0
+    for i in range(n):
+        for j in range(n):
+            biv = bl.product(None, recip[i], recip[j], "wedge")
+            wedge_wedge = wedge_wedge + bl.product(gram, biv, dd[i, j]).value
+            gp_gp = gp_gp + bl.product(
+                gram, recip[i], bl.product(gram, recip[j], dd[i, j])).value
+    return {"dot_dot": np.einsum("ij,ija->a", ginv, dd),
+            "wedge_wedge": wedge_wedge, "gp_gp": gp_gp}
+
+
 class TestSecondDerivatives:
+    @pytest.mark.parametrize("spec", [
+        levi_civita(SPHERE, "coord"), conn_spec(SPHERE, "ortho", CHI_SPHERE),
+        levi_civita(POLAR, "skew"), levi_civita(FLAT3, "coord"),
+        levi_civita(MINKOWSKI, "coord"),
+    ], ids=["sphere2", "sphere2_ortho_chi", "polar2_skew", "euclid3", "minkowski4"])
+    def test_double_sums_match_blade_products(self, spec):
+        rng = np.random.default_rng(26)
+        field = mixed_grade_field(spec.chart, rng, spec.frame)
+        point = sample_point(spec.chart, rng)
+        ops = second_ops(spec, field, point)
+        for name, want in double_sums_by_blade_products(spec, field, point).items():
+            dev = np.max(np.abs(ops[name].row - want))
+            assert dev <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
     def test_flat_laplacian(self):
         spec = levi_civita(FLAT2, "coord")
         phi = MultivectorField.scalar(FLAT2, "x^2 + y^2")

@@ -13,7 +13,7 @@ from gcalc.connection import conn_spec, gamma_jets, levi_civita, contorsion_appl
 from gcalc.errors import (GradeMismatch, MixedGrade, NonScalarOutput,
                           SignatureMismatch, SlotGradeError)
 from gcalc import suites
-from gcalc.manifest import builtin
+from gcalc.manifest import builtin, builtin_names
 from gcalc.manifold import MultivectorField, eval_frame, frame_jets, sample_point
 from gcalc.mdd import DerivedField, eval_field, from_blade_map, mdd
 from gcalc.tensor import (TensorField, TensorSignature, change_of_frame_matrix,
@@ -499,6 +499,23 @@ def test_change_of_frame_transformation_law():
             b_b = Multivector(2, {1 << l: ortho.rows[b_i][l] for l in range(2)})
             got = tensor_eval(T, [b_a, b_b], point)[0]
             assert got == pytest.approx(want[a_i, b_i], abs=1e-10)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_change_of_frame_matrix_matches_metric_route(name):
+    """P = F_a F_b^{-1} against the route that reads the metric,
+    P = F_a g F_b^T G_b^{-1}, on every ordered pair of the chart's frames."""
+    chart = builtin(name).chart
+    rng = np.random.default_rng(25)
+    n = chart.n
+    for point in [sample_point(chart, rng) for _ in range(3)]:
+        g = np.array([[ex.eval_value(chart.metric[i][j], point) for j in range(n)]
+                      for i in range(n)])
+        for fa, fb in itertools.product(chart.frames, repeat=2):
+            want = (eval_frame(chart, fa, point).rows @ g
+                    @ eval_frame(chart, fb, point).reciprocal.T)
+            got = change_of_frame_matrix(chart, fa, fb, point)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_signature_validation():
