@@ -62,7 +62,9 @@ def render_json(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
+        # + 0.0 prints a zero as 0 whatever its sign, which the order of
+        # exactly-zero terms may flip
+        x = float(obj) + 0.0
         if not np.isfinite(x):
             raise DomainError(f"non-finite value {x!r} in output")
         return format(x, ".17g")

@@ -16,7 +16,10 @@ components a^i F_i^k of the two fields; it is zero for Levi-Civita.
 
 Coefficients are whole-array jets (:mod:`gcalc.jets`) computed from the
 array-jet frame data, so the same formula yields values or first
-derivatives as needed by nested derivative operators.
+derivatives as needed by nested derivative operators.  On an identity frame
+(F = I) the Lie terms vanish and are left out, so Gbar is the Christoffel
+form (dg_i g_jk - dg_k g_ij + dg_j g_ki)/2 of the metric jet; for
+Levi-Civita (no contorsion entries) chi is zero and is not evaluated.
 """
 
 from __future__ import annotations
@@ -90,10 +93,15 @@ def gamma_jets(spec: ConnSpec, point: tuple, order: int) -> GammaJets:
     fj = frame_jets(spec.chart, spec.frame, point, order + 1)
     dg, lie = fj.dgram, fj.lie
     # transpose(1, 2, 0) reads A[k, i, j]; transpose(2, 0, 1) reads A[j, k, i]
-    gammabar = (dg - dg.transpose(1, 2, 0) + dg.transpose(2, 0, 1)
-                + lie - lie.transpose(2, 0, 1) + lie.transpose(1, 2, 0)) * 0.5
-    chi = _chi_jets(spec, point, order)
-    gamma = gammabar + chi
+    gammabar = dg - dg.transpose(1, 2, 0) + dg.transpose(2, 0, 1)
+    if not fj.identity:
+        gammabar = gammabar + lie - lie.transpose(2, 0, 1) + lie.transpose(1, 2, 0)
+    gammabar = gammabar * 0.5
+    if spec.chi:
+        chi = _chi_jets(spec, point, order)
+        gamma = gammabar + chi
+    else:
+        chi, gamma = Jet(*(np.zeros_like(c) for c in gammabar.coeffs)), gammabar
     mixed = contract("ijk,kl->ijl", gamma, fj.gram_inv)
     return GammaJets(fj, gammabar, chi, gamma, mixed,
                      not any(c.any() for c in mixed.coeffs))

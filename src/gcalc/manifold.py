@@ -3,10 +3,14 @@
 A chart is a named coordinate patch: coordinate names, a metric given as a
 matrix of scalar expressions, and a set of frames.  A frame is a row matrix of
 expressions, row i holding the coordinate components of the frame vector e_i;
-the identity frame is always present under the name "coord".
+the identity frame is always present under the name "coord", and a chart
+refuses a "coord" with other rows.  The chart notes once which of its frames
+are the literal identity (F = I): there the frame algebra is skipped, so
+the frame data comes from the metric jet alone, with Gram g, vanishing Lie
+coefficients and dgram[i, j, k] = d_i g_jk.
 
-Frame data at a point (frame Gram, its inverse, reciprocal rows, Lie
-coefficients, frame-direction metric derivatives) is computed on whole-array
+Frame data at a point (frame Gram, its inverse, Lie coefficients,
+frame-direction metric derivatives) is computed on whole-array
 jets (:mod:`gcalc.jets`): the frame rows and the metric are evaluated as jets
 once, and each derived quantity is one contraction or one closed-form
 inverse, so the same code yields plain numbers or first/second derivative
@@ -44,6 +48,13 @@ _ORTHO_TOL = 1e-10
 _HOLO_TOL = 1e-10
 
 
+def _is_identity(rows) -> bool:
+    """Whether every row entry is a literal number, 1 on the diagonal and 0
+    off it."""
+    return all(isinstance(e, ex.Num) and e.value == (i == j)
+               for i, row in enumerate(rows) for j, e in enumerate(row))
+
+
 @dataclass(eq=False, frozen=True)
 class Chart:
     """A coordinate patch with a metric and named frames.
@@ -62,6 +73,8 @@ class Chart:
     contorsion: tuple = ()
     orientation: int = 1
     domain: tuple = ()
+    # the frames whose rows are the literal identity, decided once here
+    identity_frames: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         def put(name, value):
@@ -70,13 +83,17 @@ class Chart:
         put("coords", tuple(self.coords))
         n = len(self.coords)
         put("metric", self._parse_rows(self.metric, "metric"))
-        frames = {fname: self._parse_rows(rows, f"frame {fname!r}")
-                  for fname, rows in self.frames.items()
-                  if not (isinstance(rows, str) and rows == "identity")}
         eye = tuple(tuple(ex.Num(1.0 if i == j else 0.0) for j in range(n))
                     for i in range(n))
+        frames = {fname: eye if isinstance(rows, str) and rows == "identity"
+                  else self._parse_rows(rows, f"frame {fname!r}")
+                  for fname, rows in self.frames.items()}
         frames.setdefault("coord", eye)
         put("frames", MappingProxyType(frames))
+        put("identity_frames", frozenset(f for f, rows in frames.items()
+                                         if _is_identity(rows)))
+        if "coord" not in self.identity_frames:
+            raise ValueError("frame 'coord' must be the identity")
         put("contorsion", tuple((int(i), int(j), int(k), self.parse(e))
                                 for (i, j, k, e) in self.contorsion))
         put("domain", tuple((float(a), float(b)) for a, b in self.domain)
@@ -114,7 +131,6 @@ class FrameAt:
     rows: np.ndarray          # F[i, k]: coordinate components of e_i
     gram: np.ndarray          # g_ij = e_i . e_j
     gram_inv: np.ndarray
-    reciprocal: np.ndarray    # coordinate components of e^i
     lie: np.ndarray           # L[i, j, k] = [e_i, e_j] . e_k
     dgram: np.ndarray         # dgram[i, j, k] = directional derivative of g_jk along e_i
 
@@ -124,6 +140,8 @@ class FrameJets(NamedTuple):
 
     F, the coordinate metric and the frame Gram carry the order asked of
     :func:`frame_jets`; bracket data (lie, dgram) sits one order lower.
+    ``identity`` marks a frame whose rows are the constant identity, where
+    F, lie and the frame algebra are known without evaluating them.
     """
 
     F: Jet                # F[i, k]: coordinate components of e_i
@@ -133,6 +151,7 @@ class FrameJets(NamedTuple):
     lie: Jet              # L[i, j, k]; None at order 0
     dgram: Jet            # dgram[i, j, k] = e_i(g_jk); None at order 0
     det_gram: Jet
+    identity: bool
 
 
 @lru_cache(maxsize=8192)
@@ -141,39 +160,46 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
 
     Lie coefficients and frame-direction metric derivatives consume one
     derivative, so requesting them at order d needs d+1 <= 2; they are only
-    filled for order <= 1.
+    filled for order <= 1.  On an identity frame only the metric is
+    evaluated: the Gram is g, the Lie coefficients vanish and
+    dgram[i, j, k] = d_i g_jk.
     """
-    ex.check_point(point, chart.n)
-    F = ex.eval_jet(chart.frame_rows(frame), point, order)
-    g_coord = ex.eval_jet(chart.metric, point, order)
-
-    if singular(F.value):
-        raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
-
-    g_rows = contract("kl,jl->kj", g_coord, F)      # g F^T
-    gram = contract("ik,kj->ij", F, g_rows)
+    n = chart.n
+    ex.check_point(point, n)
+    identity = frame in chart.identity_frames
+    F = (Jet(np.eye(n), *(np.zeros((n,) * (2 + d)) for d in range(1, order + 1)))
+         if identity else ex.eval_jet(chart.frame_rows(frame), point, order))
+    g_coord = gram = ex.eval_jet(chart.metric, point, order)
+    if not identity:
+        if singular(F.value):
+            raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
+        g_rows = contract("kl,jl->kj", g_coord, F)      # g F^T
+        gram = contract("ik,kj->ij", F, g_rows)
     if singular(gram.value):
         raise SingularGram(f"frame Gram is singular at {point}")
     det_gram, gram_inv = mat_det_inv(gram)
 
     lie = None
     dgram = None
-    if order >= 1:
+    if order >= 1 and identity:
+        dgram = g_coord.partials().transpose(2, 0, 1)
+        lie = Jet(*(np.zeros_like(c) for c in dgram.coeffs))
+    elif order >= 1:
         bracket = contract("il,jkl->ijk", F, F.partials())
         bracket = bracket - bracket.transpose(1, 0, 2)
         lie = contract("ijm,mk->ijk", bracket, g_rows)
         dgram = contract("il,jkl->ijk", F, gram.partials())
-    return FrameJets(F, g_coord, gram, gram_inv, lie, dgram, det_gram)
+    return FrameJets(F, g_coord, gram, gram_inv, lie, dgram, det_gram, identity)
 
 
 def eval_frame(chart: Chart, frame: str, point) -> FrameAt:
-    """Numeric frame data at a point (Gram, reciprocal rows, Lie coefficients)."""
+    """Numeric frame data at a point (Gram, its inverse, Lie coefficients)."""
     point = tuple(float(p) for p in point)
     fj = frame_jets(chart, frame, point, 1)
     F = fj.F.value.copy()
     gram = (fj.gram.value + fj.gram.value.T) / 2.0
     gram_inv = fj.gram_inv.value.copy()
-    return FrameAt(chart, frame, point, F, gram, gram_inv, gram_inv @ F,
+    return FrameAt(chart, frame, point, F, gram, gram_inv,
                    fj.lie.value.copy(), fj.dgram.value.copy())
 
 

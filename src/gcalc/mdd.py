@@ -9,12 +9,15 @@ blade as a derivation,
 
 with Gamma_{ij}^l = Gamma_{ijk} g^{kl}.  On bitmask blades that derivation
 is a constant linear map, Lambda[j, l] lifting e_j -> e_l to blades, so all
-n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  Where
+n directions are D[i] = F_ik d_k A + Gamma_{ij}^l Lambda[j, l] A.  On an
+identity frame (F = I) the component term is d_i A itself, and the frame
+and connection data come from the metric jet alone, skipping the frame
+algebra; for Levi-Civita the contorsion is not evaluated either.  Where
 every Taylor coefficient of Gamma_{ij}^l is zero at the point (coordinate
 frames of flat metrics without contorsion), the connection term adds only
-zeros and is skipped, lift and all.  D is the one primitive: the derivative
-is linear in its direction, D_a A = a^i D[i], so :func:`mdd` is a . D and
-:func:`mdd_along_basis` is row i.  Derived operators contract D with the
+zeros and is skipped, lift and all.  D is the one primitive: the
+derivative is linear in its direction, D_a A = a^i D[i], so :func:`mdd` is
+a . D and :func:`mdd_along_basis` is row i.  Derived operators contract D with the
 reciprocal frame:
 
     gradient   e^i D_{e_i} A  = divergence + curl
@@ -129,13 +132,20 @@ def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
     gj = gamma_jets(spec, point, order)
     A = field_jets(field, point, order + 1)
     if gj.mixed_zero:
-        return contract("ik,ak->ia", gj.frame.F, A.partials())
+        return _component_term(gj.frame, A)
     # Lambda[j, l] A for every e_j -> e_l, at the order of the result; built
     # before the component term, which would otherwise add to its peak memory
     lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
                              summed=False)
-    return (contract("ik,ak->ia", gj.frame.F, A.partials())
-            + contract("ijl,jla->ia", gj.mixed, lifted))
+    return _component_term(gj.frame, A) + contract("ijl,jla->ia", gj.mixed, lifted)
+
+
+def _component_term(fj, A: Jet) -> Jet:
+    """F_ik d_k A, of shape (n, 2^n).  With F = I it is dA with its first two
+    axes swapped, copied so that D is laid out as the contraction lays it."""
+    if fj.identity:
+        return Jet(*(c.swapaxes(0, 1).copy() for c in A.coeffs[1:]))
+    return contract("ik,ak->ia", fj.F, A.partials())
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:

@@ -34,6 +34,7 @@ class TestRenderJson:
         assert render_json(0.1) == "0.10000000000000001"
         assert render_json(2.0) == "2"
         assert render_json(1e-10) == "1e-10"
+        assert render_json(-0.0) == render_json(np.float64(-0.0)) == "0"
 
     def test_sorted_keys_and_types(self):
         out = render_json({"b": 1, "a": [True, None, "x"]})
@@ -72,6 +73,11 @@ _MALFORMED = {"frames-list": {"frames": [1]},
               "domain-number": {"domain": [1]},
               "orientation-overflow": {"orientation": 1e400},
               "orientation-bool": {"orientation": True}}
+
+# a "coord" frame that is not the identity it stands for
+_SHEARED_COORD_DOC = json.dumps({"name": "t", "coordinates": ["x", "y"],
+                                 "metric": [["1", "0"], ["0", "1"]],
+                                 "frames": {"coord": [["1", "1"], ["0", "1"]]}})
 
 # one coordinate more than the derivative operators accept
 _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(13)],
@@ -114,13 +120,16 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
        "--point", "x=0.5"] for extra in _MALFORMED.values()),
     ["eval", _WIDE_DOC, "--op", "grad", "--field", "p: x0",
      "--point", ",".join(f"x{i}=0.5" for i in range(13))],
+    ["eval", _SHEARED_COORD_DOC, "--op", "grad", "--field", "phi: x*y",
+     "--point", "x=0.3,y=0.2"],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
         "infinite-exponent", "power-overflow", "orientation", "nesting",
         "long-chain", "repeated-coordinate",
         "key-descending", "key-repeated", "key-zero", "key-negative",
         "key-letter", "key-empty-part", "key-exponent",
         "point-nan", "point-inf", "connection-point-inf", "direction-nan",
-        "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit"])
+        "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit",
+        "coord-not-identity"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -523,6 +532,20 @@ class TestManifestFiles:
         out = run_json("eval", doc, "--op", "grad", "--field", "phi: u*v",
                        "--point", "u=3,v=5")
         assert out == {"1": 5.0, "2": 3.0}
+
+    @pytest.mark.parametrize("op, field", [("grad", "phi: x*y"),
+                                           ("curl", "A: 1 = x*y; 2 = y^2")])
+    def test_identity_frame_matches_coord(self, capsys, op, field):
+        doc = json.dumps({"name": "t", "coordinates": ["x", "y"],
+                          "metric": [["1", "0"], ["0", "1 + x^2"]],
+                          "frames": {"plain": "identity"}})
+        assert load_manifest(doc).chart.identity_frames == {"plain", "coord"}
+        outs = []
+        for frame in ("plain", "coord"):
+            assert main(["eval", doc, "--op", op, "--field", field,
+                         "--point", "x=0.3,y=0.2", "--frame", frame]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_field_blade_beyond_dimension(self):
         doc = {"name": "flat", "coordinates": ["u", "v"],

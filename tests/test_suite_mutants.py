@@ -6,10 +6,12 @@ checks that catch it.  Mutants are applied in-process with ``monkeypatch``,
 under every name the library and the suites bind them to.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gcalc import algebra, connection, expr, manifold, mdd, suites
+from gcalc import algebra, connection, expr, manifest, manifold, mdd, suites, tensor
 from gcalc.jets import contract
 
 
@@ -22,6 +24,20 @@ def _connection_always_skipped(spec, point, order):
     """Connection data that claims Gamma = 0 everywhere, so the operators
     drop the connection term even where it is not zero."""
     return connection.gamma_jets(spec, point, order)._replace(mixed_zero=True)
+
+
+def _every_frame_identity(rows):
+    """Every frame taken for the constant identity, so the frame algebra is
+    skipped on frames that need it."""
+    return True
+
+
+_gamma_jets = connection.gamma_jets
+
+
+def _chi_dropped(spec, point, order):
+    """Connection data that ignores the contorsion of its spec."""
+    return _gamma_jets(dataclasses.replace(spec, chi=()), point, order)
 
 
 def _product_without_second_cross_term(a, b, n):
@@ -77,6 +93,16 @@ MUTANTS = [
              "algebra.dual_exchanges_dot_and_wedge", "mdd.product_rule",
              "exterior.graded_leibniz",
              "tensor.conjugate_commutes_with_derivative"]),
+    # charts decide their identity frames when built, so the cached charts
+    # are replaced by ones built under the mutant
+    ("every_frame_identity",
+     [(manifold, "_is_identity", _every_frame_identity),
+      (manifest, "_BUILTINS", {}), (suites, "_BUILT_CHARTS", {})],
+     "all", ["mdd.gradient_frame_independence", "tensor.metric_parallel"]),
+    ("chi_dropped",
+     [(connection, "gamma_jets", _chi_dropped), (mdd, "gamma_jets", _chi_dropped),
+      (tensor, "gamma_jets", _chi_dropped)],
+     "all", ["tensor.contorsion_matches_operator"]),
 ]
 
 
