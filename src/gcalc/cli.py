@@ -122,7 +122,7 @@ def _parse_point(chart, text):
 def _parse_direction(n, text):
     """``i=value,...`` giving frame components, 1-based, zeros implied."""
     a = np.zeros(n)
-    seen = False
+    given = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -138,10 +138,12 @@ def _parse_direction(n, text):
                               f"1..{n}") from None
         if i < 1:
             raise DomainError(f"direction index {i} out of range 1..{n}")
+        if i in given:
+            raise DomainError(f"direction index {i} is given twice")
+        given.add(i)
         if not math.isfinite(a[i - 1]):
             raise DomainError(f"direction component {raw!r} is not finite")
-        seen = True
-    if not seen:
+    if not given:
         raise DomainError("direction has no components")
     return a
 
@@ -170,7 +172,10 @@ def _resolve_field(bundle, text, frame_flag):
                 if not sep:
                     raise DomainError(f"field entry {entry!r} is not "
                                       "key = expression")
-                comps[key.strip().replace(" ", "")] = body.strip()
+                key = key.strip().replace(" ", "")
+                if key in comps:
+                    raise DomainError(f"blade key {key!r} is given twice")
+                comps[key] = body.strip()
             field = MultivectorField.parse(chart, comps, frame)
         else:
             field = MultivectorField.scalar(chart, spec, frame)
@@ -264,6 +269,8 @@ def _parse_potential(chart, text):
         if not 1 <= nu <= chart.n:
             raise DomainError(f"potential index {nu} out of range "
                               f"1..{chart.n}")
+        if str(nu) in comps:
+            raise DomainError(f"potential index {nu} is given twice")
         sign = _MINKOWSKI_SIGNS[nu - 1]
         body = body.strip()
         comps[str(nu)] = body if sign > 0 else f"-({body})"

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import blades as bl
 from . import expr as ex
-from .errors import DimMismatch, FrameMismatch, SingularFrame, SingularGram
+from .errors import BladeKeyError, DimMismatch, FrameMismatch, SingularFrame, SingularGram
 from .jets import Jet, contract, mat_det_inv, singular
 
 _ORTHO_TOL = 1e-10
@@ -272,6 +272,8 @@ class MultivectorField:
             mask = bl.mask_from_key(key) if isinstance(key, str) else int(key)
             if mask >> chart.n:
                 raise DimMismatch(f"blade key {key!r} exceeds dimension {chart.n}")
+            if mask in comps:
+                raise BladeKeyError(f"blade key {key!r} repeats a blade given before")
             comps[mask] = chart.parse(e)
         return MultivectorField(frame, comps)
 

@@ -35,15 +35,17 @@ grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
 coordinates.  Changes of frame and the dual act on the same (2^n,) jet
 through :func:`gcalc.blades.outermorphism`, the grade projection is a mask
 of its rows, and the pointwise products of :func:`product_field` are the
-product kernel :func:`gcalc.blades.product` over the jet of the frame Gram
-(the float double sums of :func:`second_ops` use the :class:`Gram` tables).
+product kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
 cross-checking.  Operators return fields, so they stack; a jet-depth budget
 (2 on primitive fields, one less per operator) bounds the stacking depth.
 An operator evaluates its operand once per point for all n directions, so a
-stack of k operators evaluates its primitive field k times.
+stack of k operators evaluates its primitive field k times.  A
+:class:`DerivedField` jet may carry leading label axes, shape (..., 2^n), and
+D of it has shape (..., n, 2^n): :func:`second_ops` reads its double sums'
+D_{e_i} D_{e_j} A as D of the stack D, one evaluation of D in all.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import blades as bl
 from . import expr as ex
-from .algebra import Gram, Multivector, gp, wedge
+from .algebra import Multivector
 from .connection import ConnSpec, gamma_jets, levi_civita
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import Jet, apply_function, contract, mat_det_inv, value_of
@@ -65,7 +67,7 @@ from .manifold import Chart, MultivectorField, frame_jets
 class DerivedField:
     """Field whose components at a point are computed by a closure.
 
-    ``fn(point, order)`` returns them as one jet of shape (2^n,) and the
+    ``fn(point, order)`` returns them as one jet of shape (..., 2^n) and the
     given order, indexed by blade mask (:func:`from_blade_map` builds one
     from a blade map); ``budget`` is the remaining jet depth.
     """
@@ -124,8 +126,9 @@ def _check_operand(spec: ConnSpec, field) -> None:
 
 
 def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
-    """D = (D_{e_1} field, ..., D_{e_n} field): a jet of shape (n, 2^n) and
-    the given order.  Every directional derivative is a contraction of it.
+    """D = (D_{e_1} field, ..., D_{e_n} field): a jet of shape (..., n, 2^n)
+    and the given order, for an operand jet of shape (..., 2^n) whose leading
+    axes are labels.  Every directional derivative is a contraction of it.
 
     The operand is evaluated once for all the directions.
     """
@@ -137,15 +140,16 @@ def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
     # before the component term, which would otherwise add to its peak memory
     lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
                              summed=False)
-    return _component_term(gj.frame, A) + contract("ijl,jla->ia", gj.mixed, lifted)
+    return _component_term(gj.frame, A) + contract("ijl,...jla->...ia", gj.mixed, lifted)
 
 
 def _component_term(fj, A: Jet) -> Jet:
-    """F_ik d_k A, of shape (n, 2^n).  With F = I it is dA with its first two
-    axes swapped, copied so that D is laid out as the contraction lays it."""
+    """F_ik d_k A, of shape (..., n, 2^n).  With F = I it is dA with axes a and k
+    swapped, copied so that D is laid out as the contraction lays it."""
     if fj.identity:
-        return Jet(*(c.swapaxes(0, 1).copy() for c in A.coeffs[1:]))
-    return contract("ik,ak->ia", fj.F, A.partials())
+        v = A.value.ndim
+        return Jet(*(c.swapaxes(v - 1, v).copy() for c in A.coeffs[1:]))
+    return contract("ik,...ak->...ia", fj.F, A.partials())
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
@@ -171,22 +175,26 @@ def mdd(spec, a, field, point) -> Multivector:
     return Multivector(n, a @ _mdd_basis_jets(spec, field, point, 0).value)
 
 
+def _reciprocal_sum(ginv, X: Jet, combine: str) -> Jet:
+    """Sum over i of e^i (op) X[..., i, :], op in {gp, dot, wedge}, with
+    e^i = g^{il} e_l; ``ginv`` is needed only for gp and wedge."""
+    _, interior, wedge = bl.blade_tensors(X.value.shape[-2])
+    if combine != "dot":
+        # e^i ^ X_i = e_l ^ X^l, with X^l = g^{li} X_i
+        curl = bl.apply_blades(wedge, contract("il,...ia->...la", ginv, X), summed=True)
+        if combine == "wedge":
+            return curl
+    div = bl.apply_blades(interior, X, summed=True)
+    return div if combine == "dot" else div + curl
+
+
 def _contract_field(spec, field, combine: str) -> DerivedField:
     """Sum over i of e^i (op) D_{e_i} field, op in {gp, dot, wedge}."""
     _check_operand(spec, field)
-    n = spec.n
 
     def fn(point, order):
-        D = _mdd_basis_jets(spec, field, point, order)
-        _, interior, wedge = bl.blade_tensors(n)
-        if combine != "dot":
-            # e^i ^ D_i = e_l ^ D^l, with D^l = g^{li} D_i the derivative along e^l
-            ginv = gamma_jets(spec, point, order).frame.gram_inv
-            curl = bl.apply_blades(wedge, contract("il,ia->la", ginv, D), summed=True)
-            if combine == "wedge":
-                return curl
-        div = bl.apply_blades(interior, D, summed=True)
-        return div if combine == "dot" else div + curl
+        ginv = None if combine == "dot" else gamma_jets(spec, point, order).frame.gram_inv
+        return _reciprocal_sum(ginv, _mdd_basis_jets(spec, field, point, order), combine)
 
     return DerivedField(spec.frame, field.budget - 1, fn)
 
@@ -293,27 +301,22 @@ def second_ops(spec, field, point, a=None) -> dict:
         (e^i ^ e^j) D_{e_i} D_{e_j} A,
 
     so gp_gp = dot_dot + wedge_wedge always, while grad_grad agrees with
-    gp_gp only when the frame is covariantly constant.  ``directional``
-    (when a is given) is D_a A.
+    gp_gp only when the frame is covariantly constant.  As e^i ^ e^j is
+    antisymmetric, wedge_wedge sums only the commutator part
+    (D_{e_i} D_{e_j} - D_{e_j} D_{e_i}) A / 2.  ``directional`` (when a is
+    given) is D_a A.
     """
     point = tuple(float(p) for p in point)
     n = spec.n
     g1 = gradient_field(spec, field)
     out = {"grad_grad": eval_field(gradient_field(spec, g1), point)}
-
-    fj = frame_jets(spec.chart, spec.frame, point, 0)
-    g, ginv = Gram(fj.gram.value), fj.gram_inv.value
-    # dd[i, j] = D_{e_i} D_{e_j} A and recip[i] = e^i = g^{il} e_l
-    dd = np.stack([_mdd_basis_jets(spec, mdd_along_basis(spec, j, field), point, 0).value
-                   for j in range(n)], axis=1)
-    recip = [Multivector.vector(row) for row in ginv]
-    out["dot_dot"] = Multivector(n, np.einsum("ij,ija->a", ginv, dd))
-    out["wedge_wedge"] = out["gp_gp"] = Multivector(n)
-    for i in range(n):
-        for j in range(n):
-            D = Multivector(n, dd[i, j])
-            out["wedge_wedge"] += gp(wedge(recip[i], recip[j]), D, g)
-            out["gp_gp"] += gp(recip[i], gp(recip[j], D, g), g)
+    # D of the stack D, whose label axis is j, holds D_{e_i} D_{e_j} A at [j, i]
+    D = DerivedField(spec.frame, g1.budget, lambda p, o: _mdd_basis_jets(spec, field, p, o))
+    dd = _mdd_basis_jets(spec, D, point, 0).transpose(1, 0)
+    ginv = gamma_jets(spec, point, 0).frame.gram_inv
+    out["dot_dot"] = Multivector(n, np.einsum("ij,ija->a", ginv.value, dd.value))
+    for name, X in (("gp_gp", dd), ("wedge_wedge", (dd - dd.transpose(1, 0)) * 0.5)):
+        out[name] = Multivector(n, _reciprocal_sum(ginv, _reciprocal_sum(ginv, X, "gp"), "gp").value)
     if a is not None:
         out["directional"] = mdd(spec, a, field, point)
     return out

@@ -79,6 +79,11 @@ _SHEARED_COORD_DOC = json.dumps({"name": "t", "coordinates": ["x", "y"],
                                  "metric": [["1", "0"], ["0", "1"]],
                                  "frames": {"coord": [["1", "1"], ["0", "1"]]}})
 
+# two component keys for the same blade
+_REPEATED_BLADE_DOC = json.dumps({"name": "r", "coordinates": ["x", "y"],
+                                  "metric": [["1", "0"], ["0", "1"]],
+                                  "fields": {"f": {"components": {"1": "x", "01": "y"}}}})
+
 # one coordinate more than the derivative operators accept
 _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(13)],
                         "metric": [["1" if i == j else "0" for j in range(13)]
@@ -122,6 +127,15 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
      "--point", ",".join(f"x{i}=0.5" for i in range(13))],
     ["eval", _SHEARED_COORD_DOC, "--op", "grad", "--field", "phi: x*y",
      "--point", "x=0.3,y=0.2"],
+    ["eval", "sphere2", "--op", "mdd", "--field", "phi: theta",
+     "--point", "theta=1,phi=0.5", "--dir", "1=2,1=3"],
+    ["eval", "sphere2", "--op", "grad", "--field", "A: 1 = theta; 1 = phi",
+     "--point", "theta=1,phi=0.5"],
+    ["eval", "euclid2", "--op", "curl", "--field", "A: 1 = x; 01 = y",
+     "--point", "x=1,y=0.5"],
+    ["eval", _REPEATED_BLADE_DOC, "--op", "curl", "--field", "f",
+     "--point", "x=1,y=0.5"],
+    ["maxwell", "--potential", "3:x,3:y", "--point", "t=0,x=0.1,y=0.2,z=0.3"],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
         "infinite-exponent", "power-overflow", "orientation", "nesting",
         "long-chain", "repeated-coordinate",
@@ -129,7 +143,8 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
         "key-letter", "key-empty-part", "key-exponent",
         "point-nan", "point-inf", "connection-point-inf", "direction-nan",
         "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit",
-        "coord-not-identity"])
+        "coord-not-identity", "dir-repeated", "inline-key-repeated",
+        "inline-blade-repeated", "manifest-blade-repeated", "potential-repeated"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

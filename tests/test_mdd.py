@@ -22,6 +22,7 @@ from gcalc.mdd import (DerivedField, add_fields, codifferential,
                        gradient, gradient_field, mdd, mdd_along_basis,
                        product_field, reexpress_field, second_ops,
                        unit_pseudoscalar_field)
+from test_curvature import CHART3
 
 SPHERE = builtin("sphere2").chart
 POLAR = builtin("polar2").chart
@@ -543,8 +544,9 @@ class TestSecondDerivatives:
     @pytest.mark.parametrize("spec", [
         levi_civita(SPHERE, "coord"), conn_spec(SPHERE, "ortho", CHI_SPHERE),
         levi_civita(POLAR, "skew"), levi_civita(FLAT3, "coord"),
-        levi_civita(MINKOWSKI, "coord"),
-    ], ids=["sphere2", "sphere2_ortho_chi", "polar2_skew", "euclid3", "minkowski4"])
+        levi_civita(MINKOWSKI, "coord"), levi_civita(CHART3, "twist"),
+    ], ids=["sphere2", "sphere2_ortho_chi", "polar2_skew", "euclid3", "minkowski4",
+            "curved3_twist"])
     def test_double_sums_match_blade_products(self, spec):
         rng = np.random.default_rng(26)
         field = mixed_grade_field(spec.chart, rng, spec.frame)
@@ -553,6 +555,38 @@ class TestSecondDerivatives:
         for name, want in double_sums_by_blade_products(spec, field, point).items():
             dev = np.max(np.abs(ops[name].row - want))
             assert dev <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+    def test_operand_evaluated_once_per_derivative_path(self, monkeypatch):
+        """The primitive field is read once for grad_grad and once for all
+        n^2 entries of dd, each time at order 2."""
+        calls = []
+        inner = md.field_jets
+
+        def counting(field, point, order):
+            if field is primitive:
+                calls.append(order)
+            return inner(field, point, order)
+
+        monkeypatch.setattr(md, "field_jets", counting)
+        spec = levi_civita(MINKOWSKI, "coord")
+        primitive = mixed_grade_field(MINKOWSKI, np.random.default_rng(27))
+        second_ops(spec, primitive, (0.1, -0.2, 0.3, 0.4))
+        assert calls == [2, 2]
+
+    def test_ricci_identity_on_the_unit_sphere(self):
+        """On the unit sphere Ric = g, so the commutator sum
+        (e^i ^ e^j) D_i D_j v = -Ric(v) is -v for every vector field v."""
+        spec = levi_civita(SPHERE, "coord")
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            v = MultivectorField.parse(SPHERE, {
+                key: f"{rng.uniform(-2, 2)!r}*sin({rng.uniform(0.3, 1.2)!r}*theta)"
+                     f"*cos({rng.uniform(0.3, 1.2)!r}*phi + {rng.uniform(-1, 1)!r})"
+                for key in ("1", "2")})
+            point = sample_point(SPHERE, rng)
+            want = eval_field(v, point)
+            got = second_ops(spec, v, point)["wedge_wedge"]
+            assert (got + want).norm_inf() <= 1e-12 * max(1.0, want.norm_inf())
 
     def test_flat_laplacian(self):
         spec = levi_civita(FLAT2, "coord")
