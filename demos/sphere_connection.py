@@ -15,10 +15,10 @@ for theta in (0.4, np.pi / 4, 1.2):
     conn = connection_at(sphere, "coord", (theta, 0.3))
     sc = np.sin(theta) * np.cos(theta)
     print(f"theta = {theta:.4f}")
-    print(f"  gbar[theta,phi,phi] = {conn.gammabar[0, 1, 1]: .6f}"
+    print(f"  gbar[theta,phi,phi] = {conn.gammabar.value[0, 1, 1]: .6f}"
           f"   (sin cos = {sc: .6f})")
-    print(f"  gbar[phi,theta,phi] = {conn.gammabar[1, 0, 1]: .6f}")
-    print(f"  gbar[phi,phi,theta] = {conn.gammabar[1, 1, 0]: .6f}")
+    print(f"  gbar[phi,theta,phi] = {conn.gammabar.value[1, 0, 1]: .6f}")
+    print(f"  gbar[phi,phi,theta] = {conn.gammabar.value[1, 1, 0]: .6f}")
 
 # Transporting the phi basis vector along theta tilts it by cot(theta):
 # the sphere's meridians converge toward the poles.
@@ -44,5 +44,5 @@ for theta in (0.5, 1.0, 1.5):
 # the coefficients reproduces the Lie bracket, which vanishes for
 # coordinate frames.
 conn = connection_at(sphere, "coord", (0.9, 0.1))
-anti = conn.gammabar - conn.gammabar.transpose(1, 0, 2)
+anti = conn.gammabar.value - conn.gammabar.value.transpose(1, 0, 2)
 print("\nmax |antisymmetric part| over coord frame:", np.abs(anti).max())

@@ -125,18 +125,15 @@ def add_into(dst: dict, src: dict, scale=None) -> dict:
 
 @lru_cache(maxsize=8)
 def blade_tensors(n: int) -> tuple:
-    """The derivation lift and the interior and exterior products of frame
-    vectors with blades, as signed gather tables (src, sign), built once per
-    dimension on first use, read-only.  Table T maps a blade array x to
+    """The interior and exterior products of frame vectors with blades, as
+    signed gather tables (src, sign), built once per dimension on first use,
+    read-only.  Table T maps a blade array x to
 
         (T_k x)[a] = sign[k, a] * x[src[k, a]],
 
     with sign 0 where e_a is not in the image, so it has one entry per
     output blade and index k:
 
-    lift[j, l]   the derivation that extends e_j -> e_l to blades, replacing
-                 e_j by e_l with the resorting sign (:func:`substitute`),
-                 which is wedge[l] after interior[j]; shape (n, n, 2^n);
     interior[i]  e^i . x with e^i . e_j = delta^i_j, which drops index i,
                  signed by the number of indices below it; shape (n, 2^n);
     wedge[l]     e_l ^ x (:func:`wedge_blades`); shape (n, 2^n).
@@ -148,13 +145,10 @@ def blade_tensors(n: int) -> tuple:
     sign = np.where((np.cumsum(has, axis=0) - has) & 1, -1.0, 1.0)
     interior = (masks | bits, np.where(has, 0.0, sign))
     wedge = (masks ^ bits, np.where(has, sign, 0.0))
-    # lift[j, l] reads interior[j] at the rows wedge[l] reads
-    lift = (interior[0][:, wedge[0]], interior[1][:, wedge[0]] * wedge[1])
-    tables = (lift, interior, wedge)
-    for table in tables:
+    for table in (interior, wedge):
         for t in table:
             t.setflags(write=False)
-    return tables
+    return interior, wedge
 
 
 def apply_blades(table, x: Jet, summed: bool = False) -> Jet:
@@ -208,7 +202,7 @@ def outermorphism(M, x) -> Jet:
     M, x = (a if isinstance(a, Jet) else Jet(np.asarray(a, dtype=float))
             for a in (M, x))
     n = len(M.value)
-    src, sign = blade_tensors(n)[2]
+    src, sign = blade_tensors(n)[1]
     grade = np.count_nonzero(sign, axis=0)    # wedge[k] reads e_a when k is in a
     # the live blades and each one without its i lowest vectors
     need = {m & -(1 << i) for m in live_masks(x) for i in range(n + 1)}
@@ -266,7 +260,7 @@ def left_products(g, masks, B) -> Jet:
         d = B.grad.shape[-1:] if B.order else ()
         g = Jet(g, *(np.zeros(g.shape + d * o) for o in range(1, B.order + 1)))
     masks = list(masks)
-    _, interior, wedge = blade_tensors(B.value.shape[-1].bit_length() - 1)
+    interior, wedge = blade_tensors(B.value.shape[-1].bit_length() - 1)
     need, todo = set(), list(masks)
     while todo:
         m = todo.pop()

@@ -232,9 +232,9 @@ def cmd_connection(args):
         "chart": chart.name,
         "frame": frame,
         "point": list(point),
-        "gammabar": table(conn.gammabar),
-        "chi": table(conn.chi),
-        "gamma": table(conn.gamma),
+        "gammabar": table(conn.gammabar.value),
+        "chi": table(conn.chi.value),
+        "gamma": table(conn.gamma.value),
     })
     return 0
 

@@ -16,7 +16,9 @@ components a^i F_i^k of the two fields; it is zero for Levi-Civita.
 
 Coefficients are whole-array jets (:mod:`gcalc.jets`) computed from the
 array-jet frame data, so the same formula yields values or first
-derivatives as needed by nested derivative operators.  On an identity frame
+derivatives as needed by nested derivative operators.  These cached
+:class:`GammaJets` are the only form they take: :func:`connection_at` hands
+them out with their arrays made read-only.  On an identity frame
 (F = I) the Lie terms vanish and are left out, so Gbar is the Christoffel
 form (dg_i g_jk - dg_k g_ij + dg_j g_ki)/2 of the metric jet; for
 Levi-Civita (no contorsion entries) chi is zero and is not evaluated.
@@ -33,8 +35,8 @@ import numpy as np
 from . import expr as ex
 from .errors import FrameMismatch, InvalidContorsion
 from .jets import Jet, contract
-from .manifold import (Chart, FrameAt, FrameJets, MultivectorField, bracket,
-                       eval_frame, frame_jets)
+from .manifold import (Chart, FrameJets, MultivectorField, bracket, frame_jets,
+                       read_only)
 
 _CHI_TOL = 1e-10
 
@@ -75,8 +77,8 @@ def levi_civita(chart: Chart, frame: str) -> ConnSpec:
 
 
 class GammaJets(NamedTuple):
-    """Connection coefficients as array jets at one point (internal work
-    object)."""
+    """Connection coefficients as array jets at one point, the one form they
+    take; ``mixed`` holds Gamma_ij^l, with D_{e_i} e_j = Gamma_ij^l e_l."""
 
     frame: FrameJets      # at order + 1
     gammabar: Jet         # [i, j, k]
@@ -128,44 +130,16 @@ def _chi_jets(spec: ConnSpec, point: tuple, order: int) -> Jet:
     return chi
 
 
-@dataclass
-class ConnectionAt:
-    """Numeric connection coefficients at a point."""
-
-    spec: ConnSpec
-    point: tuple
-    frame_at: FrameAt
-    gammabar: np.ndarray
-    chi: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def chart(self) -> Chart:
-        return self.spec.chart
-
-    @property
-    def frame(self) -> str:
-        return self.spec.frame
-
-
-def connection_at(chart: Chart, frame: str, point, chi=None) -> ConnectionAt:
-    """Connection coefficients at a point; chi defaults to the chart's."""
+def connection_at(chart: Chart, frame: str, point, chi=None) -> GammaJets:
+    """Connection coefficients at a point, the cached order-0 jets,
+    read-only; chi defaults to the chart's."""
     point = tuple(float(p) for p in point)
-    spec = conn_spec(chart, frame, chi)
-    gj = gamma_jets(spec, point, 0)
-    return ConnectionAt(spec, point, eval_frame(chart, frame, point),
-                        gj.gammabar.value.copy(), gj.chi.value.copy(),
-                        gj.gamma.value.copy())
+    return read_only(gamma_jets(conn_spec(chart, frame, chi), point, 0))
 
 
-def mixed_gamma(conn: ConnectionAt) -> np.ndarray:
-    """Gamma_ij^k = Gamma_ijm g^{mk}: D_{e_i} e_j = Gamma_ij^k e_k."""
-    return np.einsum("ijm,mk->ijk", conn.gamma, conn.frame_at.gram_inv)
-
-
-def reciprocal_gamma(conn: ConnectionAt) -> np.ndarray:
+def reciprocal_gamma(gj: GammaJets) -> np.ndarray:
     """rg[i, j, l]: D_{e_i} e^j = rg[i, j, l] e^l = -(Gamma_ilm g^{mj}) e^l."""
-    return -np.einsum("ilm,mj->ijl", conn.gamma, conn.frame_at.gram_inv)
+    return -gj.mixed.value.swapaxes(1, 2)
 
 
 def torsion(chart: Chart, frame: str, field_a, field_b, point, chi=None) -> np.ndarray:

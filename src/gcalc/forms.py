@@ -18,7 +18,7 @@ from . import blades as bl
 from . import expr as ex
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
 from .jets import value_of
-from .manifold import Chart, frame_jets
+from .manifold import Chart, MultivectorField, frame_jets
 from .mdd import DerivedField, field_jets, from_blade_map, reexpress_field
 
 
@@ -55,8 +55,11 @@ class FormField:
 
 @dataclass(frozen=True)
 class DerivedForm:
+    """A form computed by a closure; ``degree`` is None when unknown (the
+    hat of a field that is not one pure-grade primitive field)."""
+
     chart: Chart
-    degree: int
+    degree: int | None
     budget: int
     fn: object
 
@@ -97,7 +100,8 @@ def form_d(form):
                 bl.add_into(out, {new_mask: term})
         return out
 
-    return DerivedForm(form.chart, form.degree + 1, form.budget - 1, fn)
+    degree = None if form.degree is None else form.degree + 1
+    return DerivedForm(form.chart, degree, form.budget - 1, fn)
 
 
 def form_wedge(a, b):
@@ -110,20 +114,23 @@ def form_wedge(a, b):
         cb = form_jets(b, point, order)
         return bl.wedge_generic(ca, cb)
 
-    return DerivedForm(a.chart, a.degree + b.degree,
-                       min(a.budget, b.budget), fn)
+    degree = None if None in (a.degree, b.degree) else a.degree + b.degree
+    return DerivedForm(a.chart, degree, min(a.budget, b.budget), fn)
 
 
 def form_add(a, b, ca=1.0, cb=1.0):
-    """Linear combination ca*a + cb*b of two forms of equal degree."""
-    if a.degree != b.degree:
+    """Linear combination ca*a + cb*b of two forms of equal degree; a form
+    of unknown degree adds to any, and the sum's degree is then unknown."""
+    known = a.degree is not None and b.degree is not None
+    if known and a.degree != b.degree:
         raise DimMismatch("can only add forms of equal degree")
 
     def fn(point, order):
         out = bl.add_into({}, form_jets(a, point, order), ca)
         return bl.add_into(out, form_jets(b, point, order), cb)
 
-    return DerivedForm(a.chart, a.degree, min(a.budget, b.budget), fn)
+    return DerivedForm(a.chart, a.degree if known else None,
+                       min(a.budget, b.budget), fn)
 
 
 def hat_map(chart: Chart, field):
@@ -134,8 +141,13 @@ def hat_map(chart: Chart, field):
     applied on the field's blade axis; the resulting dx components, read off
     as a blade map without the rows that are zero in every Taylor
     coefficient, are the form components.  Fields over another frame are
-    re-expressed first.
+    re-expressed first.  The form's degree is the grade of a pure-grade
+    :class:`MultivectorField`, reexpressed or not, and unknown (None) for
+    any other field: mixed grades are transferred grade by grade.
     """
+    grades = ({m.bit_count() for m in field.components}
+              if isinstance(field, MultivectorField) else ())
+    degree = next(iter(grades)) if len(grades) == 1 else None
     if field.frame != "coord":
         field = reexpress_field(chart, field.frame, "coord", field)
 
@@ -144,9 +156,7 @@ def hat_map(chart: Chart, field):
         comps = bl.outermorphism(fj.g_coord, field_jets(field, point, order))
         return {m: comps.take(m) for m in bl.live_masks(comps)}
 
-    # mixed-grade fields are transferred grade by grade; degree is only
-    # meaningful when the input is pure, so record the top populated grade
-    return DerivedForm(chart, -1, field.budget, fn)
+    return DerivedForm(chart, degree, field.budget, fn)
 
 
 def unhat(chart: Chart, form) -> DerivedField:

@@ -14,7 +14,9 @@ frame-direction metric derivatives) is computed on whole-array
 jets (:mod:`gcalc.jets`): the frame rows and the metric are evaluated as jets
 once, and each derived quantity is one contraction or one closed-form
 inverse, so the same code yields plain numbers or first/second derivative
-information as needed by the derivative operators.
+information as needed by the derivative operators.  These cached
+:class:`FrameJets` are the only form frame data takes: :func:`eval_frame`
+hands them out with their arrays made read-only.
 
 The Lie bracket of two vector fields given by coordinate components is
 
@@ -121,22 +123,8 @@ class Chart:
         return rows
 
 
-@dataclass
-class FrameAt:
-    """Numeric frame data at a single point."""
-
-    chart: Chart
-    frame: str
-    point: tuple
-    rows: np.ndarray          # F[i, k]: coordinate components of e_i
-    gram: np.ndarray          # g_ij = e_i . e_j
-    gram_inv: np.ndarray
-    lie: np.ndarray           # L[i, j, k] = [e_i, e_j] . e_k
-    dgram: np.ndarray         # dgram[i, j, k] = directional derivative of g_jk along e_i
-
-
 class FrameJets(NamedTuple):
-    """Frame data as array jets at one point (internal work object).
+    """Frame data as array jets at one point, the one form it takes.
 
     F, the coordinate metric and the frame Gram carry the order asked of
     :func:`frame_jets`; bracket data (lie, dgram) sits one order lower.
@@ -192,34 +180,44 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     return FrameJets(F, g_coord, gram, gram_inv, lie, dgram, det_gram, identity)
 
 
-def eval_frame(chart: Chart, frame: str, point) -> FrameAt:
-    """Numeric frame data at a point (Gram, its inverse, Lie coefficients)."""
-    point = tuple(float(p) for p in point)
-    fj = frame_jets(chart, frame, point, 1)
-    F = fj.F.value.copy()
-    gram = (fj.gram.value + fj.gram.value.T) / 2.0
-    gram_inv = fj.gram_inv.value.copy()
-    return FrameAt(chart, frame, point, F, gram, gram_inv,
-                   fj.lie.value.copy(), fj.dgram.value.copy())
+def read_only(jets):
+    """``jets`` (a :class:`FrameJets` or a tuple holding one) with every
+    coefficient array made read-only, so that the cached jets can be handed
+    out; the operators read the cache without this."""
+    for part in jets:
+        if isinstance(part, tuple):
+            read_only(part)
+        elif isinstance(part, Jet):
+            for c in part.coeffs:
+                if isinstance(c, np.ndarray):
+                    c.flags.writeable = False
+    return jets
 
 
-def classify_frame(frame_at: FrameAt) -> dict:
+def eval_frame(chart: Chart, frame: str, point) -> FrameJets:
+    """Frame data at a point: the cached order-1 jets, read-only."""
+    return read_only(frame_jets(chart, frame, tuple(float(p) for p in point), 1))
+
+
+def classify_frame(fj: FrameJets) -> dict:
     """Orthonormality (with signature flags) and holonomicity at the point."""
-    g = frame_at.gram
+    g = fj.gram.value
     n = g.shape[0]
     off = float(np.max(np.abs(g - np.diag(np.diag(g))))) if n > 1 else 0.0
     unit = float(np.max(np.abs(np.abs(np.diag(g)) - 1.0)))
     orthonormal = off < _ORTHO_TOL and unit < _ORTHO_TOL
     eta = tuple(int(np.sign(g[i, i])) for i in range(n)) if orthonormal else None
-    holonomic = float(np.max(np.abs(frame_at.lie))) < _HOLO_TOL
+    holonomic = float(np.max(np.abs(fj.lie.value))) < _HOLO_TOL
     return {"orthonormal": orthonormal, "holonomic": holonomic, "signature": eta}
 
 
-def dirderiv_scalar(chart: Chart, frame_at: FrameAt, a, phi) -> float:
+def dirderiv_scalar(chart: Chart, frame: str, point, a, phi) -> float:
     """Directional derivative along a = a^i e_i of a scalar expression:
     a^i F_i^k d_k phi."""
-    jet = ex.eval_jet(chart.parse(phi), frame_at.point, 1)
-    return float(np.asarray(a, dtype=float) @ frame_at.rows @ jet.grad)
+    point = tuple(float(p) for p in point)
+    F = frame_jets(chart, frame, point, 1).F.value
+    jet = ex.eval_jet(chart.parse(phi), point, 1)
+    return float(np.asarray(a, dtype=float) @ F @ jet.grad)
 
 
 def bracket(a: Jet, b: Jet) -> Jet:
@@ -247,7 +245,7 @@ def sample_point(chart: Chart, rng) -> tuple:
 def gradient_basis(chart: Chart, point) -> np.ndarray:
     """Rows are the coordinate components of the gradient vectors dx^i = g^{ij} e(x_j)."""
     point = tuple(float(p) for p in point)
-    return frame_jets(chart, "coord", point, 0).gram_inv.value.copy()
+    return read_only(frame_jets(chart, "coord", point, 0)).gram_inv.value
 
 
 @dataclass(frozen=True)

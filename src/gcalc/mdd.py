@@ -28,14 +28,16 @@ Since e^i . e_j = delta^i_j, the divergence needs no metric: iota_i drops
 index i from a blade, signed by moving e_i to its front, and eps_l wedges
 e_l onto it; Lambda[j, l] is eps_l after iota_j.  These are the derivation
 and outermorphism machinery of Hestenes & Sobczyk (1984) and Dorst,
-Fontijne & Mann (2007) on bitmask blades.  :func:`gcalc.blades.blade_tensors`
-holds them as signed gather tables, one entry per output blade and index,
-and the sums over frame indices are ``jets.contract`` calls.  The work
-grows as n^4 2^n, so operators refuse charts of more than :data:`MAX_DIM`
-coordinates.  Changes of frame and the dual act on the same (2^n,) jet
-through :func:`gcalc.blades.outermorphism`, the grade projection is a mask
-of its rows, and the pointwise products of :func:`product_field` are the
-product kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
+Fontijne & Mann (2007) on bitmask blades.
+:func:`gcalc.blades.blade_tensors` holds iota and eps as signed gather
+tables, one entry per output blade and index, :func:`derivation_lift`
+builds Lambda from them for the connection term alone, and the sums over
+frame indices are ``jets.contract`` calls.  The work grows as n^4 2^n, so
+operators refuse charts of more than :data:`MAX_DIM` coordinates.  Changes
+of frame and the dual act on the same (2^n,) jet through
+:func:`gcalc.blades.outermorphism`, the grade projection is a mask of its
+rows, and the pointwise products of :func:`product_field` are the product
+kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
@@ -51,6 +53,7 @@ D_{e_i} D_{e_j} A as D of the stack D, one evaluation of D in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,6 +128,21 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise JetBudgetExhausted("field has no derivative budget left")
 
 
+@lru_cache(maxsize=8)
+def derivation_lift(n: int) -> tuple:
+    """Lambda[j, l], the derivation that extends e_j -> e_l to blades,
+    replacing e_j by e_l with the resorting sign (:func:`gcalc.blades.substitute`),
+    as a read-only signed gather table (src, sign) of shape (n, n, 2^n) in
+    the form of :func:`gcalc.blades.blade_tensors`: wedge[l] after
+    interior[j].  Built once per dimension, on the first connection term."""
+    interior, wedge = bl.blade_tensors(n)
+    # lift[j, l] reads interior[j] at the rows wedge[l] reads
+    lift = (interior[0][:, wedge[0]], interior[1][:, wedge[0]] * wedge[1])
+    for t in lift:
+        t.setflags(write=False)
+    return lift
+
+
 def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
     """D = (D_{e_1} field, ..., D_{e_n} field): a jet of shape (..., n, 2^n)
     and the given order, for an operand jet of shape (..., 2^n) whose leading
@@ -138,7 +156,7 @@ def _mdd_basis_jets(spec: ConnSpec, field, point, order: int) -> Jet:
         return _component_term(gj.frame, A)
     # Lambda[j, l] A for every e_j -> e_l, at the order of the result; built
     # before the component term, which would otherwise add to its peak memory
-    lifted = bl.apply_blades(bl.blade_tensors(spec.n)[0], Jet(*A.coeffs[:order + 1]),
+    lifted = bl.apply_blades(derivation_lift(spec.n), Jet(*A.coeffs[:order + 1]),
                              summed=False)
     return _component_term(gj.frame, A) + contract("ijl,...jla->...ia", gj.mixed, lifted)
 
@@ -178,7 +196,7 @@ def mdd(spec, a, field, point) -> Multivector:
 def _reciprocal_sum(ginv, X: Jet, combine: str) -> Jet:
     """Sum over i of e^i (op) X[..., i, :], op in {gp, dot, wedge}, with
     e^i = g^{il} e_l; ``ginv`` is needed only for gp and wedge."""
-    _, interior, wedge = bl.blade_tensors(X.value.shape[-2])
+    interior, wedge = bl.blade_tensors(X.value.shape[-2])
     if combine != "dot":
         # e^i ^ X_i = e_l ^ X^l, with X^l = g^{li} X_i
         curl = bl.apply_blades(wedge, contract("il,...ia->...la", ginv, X), summed=True)

@@ -34,7 +34,7 @@ from .connection import ConnSpec, conn_spec, gamma_jets
 from .errors import (FrameMismatch, GradeMismatch, MixedGrade,
                      NonScalarOutput, SignatureMismatch, SlotGradeError)
 from .jets import Jet, contract as contract_jets
-from .manifold import Chart, FrameAt, MultivectorField, eval_frame, frame_jets
+from .manifold import Chart, MultivectorField, frame_jets
 from .mdd import DerivedField, eval_field, field_jets, frame_change, mdd
 
 
@@ -166,8 +166,9 @@ def tensor_product(T: TensorField, S: TensorField) -> TensorField:
     return TensorField(T.chart, T.frame, sig, comps)
 
 
-def contract(T: TensorField, slot_p: int, slot_q: int, frame_at: FrameAt) -> dict:
-    """Sum_i T(..., e_i, ..., e^i, ...) evaluated at frame_at's point.
+def contract(T: TensorField, slot_p: int, slot_q: int, point) -> dict:
+    """Sum_i T(..., e_i, ..., e^i, ...) at a point, with the reciprocal
+    frame of T's own chart and frame.
 
     Returns the contracted components as a map from (remaining slot blades...,
     output blade) to float.
@@ -179,8 +180,8 @@ def contract(T: TensorField, slot_p: int, slot_q: int, frame_at: FrameAt) -> dic
         if not 0 <= s < sig.rank or sig.inputs[s] != 1:
             raise SlotGradeError("contraction slots must exist and have grade 1")
     n = T.n
-    ginv = frame_at.gram_inv
-    point = frame_at.point
+    point = tuple(float(p) for p in point)
+    ginv = frame_jets(T.chart, T.frame, point, 0).gram_inv.value
     out: dict = {}
     for key, e in T.components.items():
         i = bl.indices_of(key[slot_p])[0]
@@ -339,8 +340,7 @@ def conjugate_derivative_check(spec: ConnSpec, field: MultivectorField, a,
     n = chart.n
     rng = rng or np.random.default_rng(0)
 
-    frame_at = eval_frame(chart, frame, point)
-    gram = as_gram(frame_at.gram)
+    gram = as_gram(frame_jets(chart, frame, point, 0).gram.value)
     db = mdd(spec, a, field, point)
     worst = 0.0
     for _ in range(samples):

@@ -1,5 +1,7 @@
 """The constant blade tables behind the operator layer, checked entry by
-entry against the dict-valued blade arithmetic they replace."""
+entry against the dict-valued blade arithmetic they replace: the interior
+and wedge tables of :func:`gcalc.blades.blade_tensors` and the derivation
+lift that :func:`gcalc.mdd.derivation_lift` builds from them."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from gcalc import blades as bl
 from gcalc.connection import conn_spec
 from gcalc.manifest import load_manifest
 from gcalc.manifold import MultivectorField
-from gcalc.mdd import curl, gradient
+from gcalc.mdd import curl, derivation_lift, gradient
 
 DIMS = (1, 2, 3, 4)
 
@@ -23,7 +25,7 @@ def _interior(i, mv):
 
 
 def _apply(table, k, mv, n):
-    """T_k mv for a table (src, sign) of blade_tensors and an index k (an
+    """T_k mv for a gather table (src, sign) and an index k (an
     int or a pair), as a blade map without its zeros."""
     src, sign = table
     x = np.zeros(1 << n)
@@ -35,7 +37,8 @@ def _apply(table, k, mv, n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_lift_replaces_each_vector_by_substitution(n):
-    lift, interior, wedge = bl.blade_tensors(n)
+    lift = derivation_lift(n)
+    interior, wedge = bl.blade_tensors(n)
     for mask in range(1 << n):
         for j in range(n):
             for l in range(n):
@@ -53,7 +56,7 @@ def test_lift_is_the_derivation_of_the_outermorphism(n):
     """For the matrix unit E (e_j -> e_l) the outermorphism of I + E is
     I + Lambda[j, l] exactly, since E ^ E = 0.  The outermorphism is taken
     from its minors: e_J maps to sum_K det (I + E)[J; K] e_K."""
-    lift = bl.blade_tensors(n)[0]
+    lift = derivation_lift(n)
     for j in range(n):
         for l in range(n):
             M = np.eye(n)
@@ -73,7 +76,7 @@ def test_lift_is_the_derivation_of_the_outermorphism(n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_interior_matches_sign_rule(n):
-    interior = bl.blade_tensors(n)[1]
+    interior = bl.blade_tensors(n)[0]
     for i in range(n):
         for mask in range(1 << n):
             assert _apply(interior, i, {mask: 1.0}, n) == _interior(i, {mask: 1.0})
@@ -81,7 +84,7 @@ def test_interior_matches_sign_rule(n):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_wedge_matches_wedge_generic(n):
-    wedge = bl.blade_tensors(n)[2]
+    wedge = bl.blade_tensors(n)[1]
     for l in range(n):
         for mask in range(1 << n):
             want = bl.wedge_generic({1 << l: 1.0}, {mask: 1.0})
@@ -91,13 +94,14 @@ def test_wedge_matches_wedge_generic(n):
 def test_built_once_read_only_and_linear_in_blades():
     first = bl.blade_tensors(3)
     assert bl.blade_tensors(3) is first
-    for table in first:
+    assert derivation_lift(3) is derivation_lift(3)
+    for table in first + (derivation_lift(3),):
         for t in table:
             with pytest.raises(ValueError):
                 t[(0,) * t.ndim] = 1
-    lift, interior, wedge = bl.blade_tensors(12)
-    assert all(t.shape == (12, 12, 1 << 12) for t in lift)
+    interior, wedge = bl.blade_tensors(12)
     assert all(t.shape == (12, 1 << 12) for t in interior + wedge)
+    assert all(t.shape == (12, 12, 1 << 12) for t in derivation_lift(12))
 
 
 def test_operators_on_a_ten_dimensional_chart():

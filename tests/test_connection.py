@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from gcalc import expr as ex
 from gcalc.connection import (_chi_jets, conn_spec, connection_at,
-                              contorsion_apply, levi_civita, mixed_gamma,
+                              contorsion_apply, levi_civita,
                               reciprocal_gamma, torsion)
 from gcalc.errors import DimMismatch, DomainError, InvalidContorsion
 from gcalc.manifest import builtin
 from gcalc.manifold import MultivectorField, eval_frame
+from test_manifold import handed_out_arrays
 from gcalc.mdd import (DerivedField, eval_field, from_blade_map, mdd,
                        mdd_along_basis)
 
@@ -54,15 +55,15 @@ class TestClosedForms:
     @settings(max_examples=40, deadline=None)
     def test_sphere_coordinate_frame(self, theta, phi):
         conn = connection_at(SPHERE, "coord", (theta, phi), chi=())
-        assert np.allclose(conn.gammabar, sphere_coord_gammabar(theta),
+        assert np.allclose(conn.gammabar.value, sphere_coord_gammabar(theta),
                            atol=1e-10)
-        assert np.allclose(conn.gamma, conn.gammabar)
+        assert np.allclose(conn.gamma.value, conn.gammabar.value)
 
     @given(st.floats(0.2, 2.4), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_polar_coordinate_frame(self, r, theta):
         conn = connection_at(POLAR, "coord", (r, theta), chi=())
-        assert np.allclose(conn.gammabar, polar_coord_gammabar(r), atol=1e-10)
+        assert np.allclose(conn.gammabar.value, polar_coord_gammabar(r), atol=1e-10)
 
     def test_sphere_orthonormal_frame(self):
         # cot(pi/4) = 1 makes the expected entries easy to spot
@@ -70,18 +71,18 @@ class TestClosedForms:
         expect = np.zeros((2, 2, 2))
         expect[1, 0, 1] = 1.0
         expect[1, 1, 0] = -1.0
-        assert np.allclose(conn.gammabar, expect, atol=1e-12)
+        assert np.allclose(conn.gammabar.value, expect, atol=1e-12)
 
     def test_flat_frames_vanish(self):
         conn = connection_at(FLAT2, "coord", (0.3, -1.1))
-        assert np.all(conn.gamma == 0.0)
+        assert np.all(conn.gamma.value == 0.0)
         conn3 = connection_at(builtin("euclid3").chart, "coord", (1., 2., 3.))
-        assert np.all(conn3.gamma == 0.0)
+        assert np.all(conn3.gamma.value == 0.0)
 
     def test_minkowski_coordinate_frame_vanishes(self):
         chart = builtin("minkowski4").chart
         conn = connection_at(chart, "coord", (0.1, 0.2, 0.3, 0.4))
-        assert np.all(conn.gamma == 0.0)
+        assert np.all(conn.gamma.value == 0.0)
 
 
 def numeric_gram(chart, frame, point):
@@ -128,7 +129,7 @@ def test_skew_frame_matches_finite_differences():
     expect += 0.5 * (lie - lie.transpose(2, 0, 1) + lie.transpose(1, 2, 0))
 
     conn = connection_at(chart, frame, point, chi=())
-    assert np.allclose(conn.gammabar, expect, atol=1e-6)
+    assert np.allclose(conn.gammabar.value, expect, atol=1e-6)
 
 
 class TestDefiningIdentities:
@@ -143,18 +144,18 @@ class TestDefiningIdentities:
     def test_metric_compatibility_and_torsion(self, chart, frame, point):
         frame_at = eval_frame(chart, frame, point)
         conn = connection_at(chart, frame, point, chi=())
-        sym = conn.gammabar + conn.gammabar.transpose(0, 2, 1)
-        assert np.allclose(sym, frame_at.dgram, atol=1e-10)
-        skew = conn.gammabar - conn.gammabar.transpose(1, 0, 2)
-        assert np.allclose(skew, frame_at.lie, atol=1e-10)
+        sym = conn.gammabar.value + conn.gammabar.value.transpose(0, 2, 1)
+        assert np.allclose(sym, frame_at.dgram.value, atol=1e-10)
+        skew = conn.gammabar.value - conn.gammabar.value.transpose(1, 0, 2)
+        assert np.allclose(skew, frame_at.lie.value, atol=1e-10)
 
     def test_identities_survive_contorsion(self):
         point = (0.9, 0.4)
         frame_at = eval_frame(SPHERE, "coord", point)
         conn = connection_at(SPHERE, "coord", point, chi=RANDOM_CHI)
-        sym = conn.gamma + conn.gamma.transpose(0, 2, 1)
-        assert np.allclose(sym, frame_at.dgram, atol=1e-10)
-        assert not np.allclose(conn.gamma, conn.gammabar)
+        sym = conn.gamma.value + conn.gamma.value.transpose(0, 2, 1)
+        assert np.allclose(sym, frame_at.dgram.value, atol=1e-10)
+        assert not np.allclose(conn.gamma.value, conn.gammabar.value)
 
     def test_gamma_is_gammabar_plus_chi(self):
         point = (0.9, 0.4)
@@ -164,7 +165,7 @@ class TestDefiningIdentities:
         chi[0, 0, 1] = -0.3 * point[0]
         chi[1, 1, 0] = 0.4 + 0.1 * point[1]
         chi[1, 0, 1] = -0.4 - 0.1 * point[1]
-        assert np.allclose(conn.gamma, conn.gammabar + chi, atol=1e-12)
+        assert np.allclose(conn.gamma.value, conn.gammabar.value + chi, atol=1e-12)
 
     def test_contorsion_must_be_antisymmetric(self):
         with pytest.raises(InvalidContorsion):
@@ -229,9 +230,9 @@ class TestDerivedCoefficients:
     def test_mixed_raises_last_index(self):
         point = (np.pi / 4, 0.5)
         conn = connection_at(SPHERE, "coord", point, chi=())
-        mixed = mixed_gamma(conn)
+        mixed = conn.mixed.value
         frame_at = eval_frame(SPHERE, "coord", point)
-        expect = np.einsum("ijm,mk->ijk", conn.gamma, frame_at.gram_inv)
+        expect = np.einsum("ijm,mk->ijk", conn.gamma.value, frame_at.gram_inv.value)
         assert np.allclose(mixed, expect, atol=1e-12)
         # D_theta e_phi = cot(theta) e_phi on the sphere
         assert mixed[0, 1, 1] == pytest.approx(1.0, abs=1e-12)
@@ -267,7 +268,7 @@ class TestDerivedCoefficients:
             for i in range(n):
                 a = [1.0 if k == i else 0.0 for k in range(n)]
                 got = mdd(spec, a, recip_field, point).to_blade_map()
-                expect = rg[i, j] @ frame_at.gram_inv
+                expect = rg[i, j] @ frame_at.gram_inv.value
                 for l in range(n):
                     assert got.get(str(l + 1), 0.0) == pytest.approx(
                         expect[l], abs=1e-10)
@@ -284,13 +285,13 @@ class TestTorsion:
         point = (0.8, 0.4)
         frame_at = eval_frame(SPHERE, "coord", point)
         conn = connection_at(SPHERE, "coord", point, chi=RANDOM_CHI)
-        chi = conn.chi
+        chi = conn.chi.value
         for i in range(2):
             ei = ["1" if k == i else "0" for k in range(2)]
             for j in range(2):
                 ej = ["1" if k == j else "0" for k in range(2)]
                 tau = torsion(SPHERE, "coord", ei, ej, point, chi=RANDOM_CHI)
-                lowered = frame_at.gram @ tau
+                lowered = frame_at.gram.value @ tau
                 for k in range(2):
                     assert lowered[k] == pytest.approx(
                         chi[i, j, k] - chi[j, i, k], abs=1e-10)
@@ -369,10 +370,21 @@ def test_basis_derivatives_expose_mixed_coefficients():
     spec = conn_spec(SPHERE, "coord", RANDOM_CHI)
     point = (1.1, 0.2)
     conn = connection_at(SPHERE, "coord", point, chi=RANDOM_CHI)
-    mixed = mixed_gamma(conn)
+    mixed = conn.mixed.value
     for j in range(2):
         ej = MultivectorField("coord", {1 << j: ex.Num(1.0)})
         for i in range(2):
             got = eval_field(mdd_along_basis(spec, i, ej), point)
             for l in range(2):
                 assert got[1 << l] == pytest.approx(mixed[i, j, l], abs=1e-12)
+
+
+def test_connection_at_arrays_are_read_only():
+    """connection_at hands out the cached jets, its frame jets included, so
+    no caller can write into what the operators read."""
+    conn = connection_at(SPHERE, "ortho", (0.9, 0.4), chi=RANDOM_CHI)
+    arrays = handed_out_arrays(conn)
+    assert len(arrays) >= 12
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0

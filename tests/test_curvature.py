@@ -47,7 +47,7 @@ def curvature(spec, i, j, field, point):
     dji = eval_field(mdd_along_basis(spec, j, mdd_along_basis(spec, i, field)),
                      point)
     fa = eval_frame(spec.chart, spec.frame, point)
-    bracket = fa.lie[i, j] @ fa.gram_inv
+    bracket = fa.lie.value[i, j] @ fa.gram_inv.value
     return dij - dji - mdd(spec, bracket, field, point)
 
 
@@ -62,7 +62,7 @@ def coeffs(mv, n):
 def riemann(spec, point):
     """R_ijkl = (R(e_i, e_j) e_k) . e_l in the spec's frame."""
     n = spec.n
-    gram = eval_frame(spec.chart, spec.frame, point).gram
+    gram = eval_frame(spec.chart, spec.frame, point).gram.value
     R = np.zeros((n,) * 4)
     for i, j, k in itertools.product(range(n), repeat=3):
         v = curvature(spec, i, j, basis_vector(spec.chart, spec.frame, k),
@@ -105,7 +105,7 @@ def test_flat_skew_frame_has_no_curvature():
 @pytest.mark.parametrize("frame", ["coord", "twist"])
 class TestLeviCivitaSymmetries:
     def test_frame_is_as_intended(self, frame):
-        lie = eval_frame(CHART3, frame, POINT3).lie
+        lie = eval_frame(CHART3, frame, POINT3).lie.value
         assert (np.max(np.abs(lie)) > 0.1) == (frame == "twist")
 
     def test_riemann_symmetries(self, frame):

@@ -89,6 +89,34 @@ class TestValidation:
 
 
 class TestHatMap:
+    def test_degree_is_the_grade_of_a_pure_field(self):
+        """The hat of a pure-grade field has that degree, reexpressed or not,
+        so it adds to forms of that degree; any other field gives an unknown
+        degree (None), which form_d and form_wedge keep."""
+        r, theta = point = (1.1, 0.6)
+        v = MultivectorField.vector(POLAR, ["r", "theta"])
+        one_form = FormField.parse(POLAR, 1, {"1": "r"})
+        total = form_add(hat_map(POLAR, v), one_form)
+        assert total.degree == 1
+        # e_i = g_ik dx^k with g = diag(1, r^2)
+        assert_forms_close(form_eval(total, point), {1: 2 * r, 2: r * r * theta})
+        assert form_d(hat_map(POLAR, v)).degree == 2
+        assert form_wedge(hat_map(POLAR, v), one_form).degree == 2
+        skew = MultivectorField.vector(POLAR, ["r", "theta"], "skew")
+        assert hat_map(POLAR, skew).degree == 1
+        assert hat_map(POLAR, MultivectorField.parse(POLAR, {"1,2": "r"})).degree == 2
+
+        mixed = hat_map(POLAR, MultivectorField.parse(POLAR, {"": "1", "1": "r"}))
+        derived = hat_map(POLAR, ext_d_field(POLAR, "coord", v))
+        for form in (mixed, derived):
+            assert form.degree is None
+            assert form_d(form).degree is None
+            assert form_wedge(form, one_form).degree is None
+        two_form = FormField.parse(POLAR, 2, {"1,2": "theta"})
+        assert form_add(mixed, two_form).degree is None
+        assert_forms_close(form_eval(form_add(mixed, two_form), point),
+                           {0: 1.0, 1: r, 3: theta})
+
     def test_scalar_passes_through(self):
         one = MultivectorField.scalar(FLAT2, "1")
         assert form_eval(hat_map(FLAT2, one), (0.3, 0.4)) == {0: 1.0}
@@ -102,7 +130,7 @@ class TestHatMap:
         frame; hat must send it to the unit d-hat-x^1 ^ d-hat-x^2."""
         point = (1.3, 0.8)
         frame_at = eval_frame(POLAR, "coord", point)
-        det_inv = float(np.linalg.det(frame_at.gram_inv))
+        det_inv = float(np.linalg.det(frame_at.gram_inv.value))
         A = MultivectorField("coord",
                              {3: POLAR.parse(f"({det_inv!r})")})
         got = form_eval(hat_map(POLAR, A), point)

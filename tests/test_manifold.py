@@ -10,17 +10,31 @@ from gcalc import expr as ex
 from gcalc.algebra import reciprocal_frame
 from gcalc.connection import levi_civita
 from gcalc.errors import DimMismatch, FrameMismatch, SingularFrame, SingularGram
+from gcalc.jets import Jet
 from gcalc.manifest import ManifestError, builtin, load_manifest
 from gcalc.manifold import (Chart, MultivectorField, bracket, classify_frame,
                             dirderiv_scalar, eval_frame, frame_jets, gradient_basis,
                             lie_bracket, sample_point)
 from gcalc.mdd import gradient
+from test_curvature import CHART3
 
 RNG = np.random.default_rng(512)
 
 
 def chart_of(name):
     return builtin(name).chart
+
+
+def handed_out_arrays(jets) -> list:
+    """Every coefficient array of a FrameJets or GammaJets, the frame jets
+    a GammaJets holds included."""
+    out = []
+    for part in jets:
+        if isinstance(part, tuple):
+            out += handed_out_arrays(part)
+        elif isinstance(part, Jet):
+            out += [c for c in part.coeffs if isinstance(c, np.ndarray)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -62,26 +76,26 @@ class TestEvalFrame:
     def test_sphere_coord_frame(self):
         chart = chart_of("sphere2")
         fa = eval_frame(chart, "coord", (math.pi / 4, 0.3))
-        assert np.allclose(fa.gram, np.diag([1.0, 0.5]), atol=1e-14)
-        assert np.max(np.abs(fa.lie)) < 1e-14
-        assert np.allclose(fa.gram_inv @ fa.rows, np.diag([1.0, 2.0]), atol=1e-12)
+        assert np.allclose(fa.gram.value, np.diag([1.0, 0.5]), atol=1e-14)
+        assert np.max(np.abs(fa.lie.value)) < 1e-14
+        assert np.allclose(fa.gram_inv.value @ fa.F.value, np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_sphere_ortho_frame(self):
         chart = chart_of("sphere2")
         theta = math.pi / 4
         fa = eval_frame(chart, "ortho", (theta, -0.7))
-        assert np.allclose(fa.gram, np.eye(2), atol=1e-12)
+        assert np.allclose(fa.gram.value, np.eye(2), atol=1e-12)
         # [e1, e2] = -cot(theta) e2 in this frame, so L_122 = -cot(theta)
-        assert fa.lie[0, 1, 1] == pytest.approx(-1.0, abs=1e-12)
-        assert fa.lie[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert fa.lie[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert fa.lie.value[0, 1, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert fa.lie.value[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert fa.lie.value[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_lie_antisymmetry_exact(self):
         chart = chart_of("polar2")
         for _ in range(16):
             p = sample_point(chart, RNG)
             fa = eval_frame(chart, "skew", p)
-            assert np.array_equal(fa.lie, -np.swapaxes(fa.lie, 0, 1))
+            assert np.array_equal(fa.lie.value, -np.swapaxes(fa.lie.value, 0, 1))
 
     def test_lie_against_finite_differences(self):
         for name, frame in [("sphere2", "ortho"), ("polar2", "skew")]:
@@ -90,7 +104,7 @@ class TestEvalFrame:
                 p = sample_point(chart, RNG)
                 fa = eval_frame(chart, frame, p)
                 ref = fd_lie(chart, frame, p)
-                assert np.max(np.abs(fa.lie - ref)) < 1e-7
+                assert np.max(np.abs(fa.lie.value - ref)) < 1e-7
 
     def test_reciprocal_property(self):
         chart = chart_of("polar2")
@@ -99,7 +113,7 @@ class TestEvalFrame:
             fa = eval_frame(chart, "skew", p)
             g = np.array([[ex.eval_value(chart.metric[i][j], p) for j in range(2)]
                           for i in range(2)])
-            delta = (fa.gram_inv @ fa.rows) @ g @ fa.rows.T
+            delta = (fa.gram_inv.value @ fa.F.value) @ g @ fa.F.value.T
             assert np.max(np.abs(delta - np.eye(2))) < 1e-12
 
     def test_dgram_matches_finite_differences(self):
@@ -111,7 +125,7 @@ class TestEvalFrame:
             n = chart.n
 
             def gram_at(q):
-                return eval_frame(chart, "ortho", q).gram
+                return eval_frame(chart, "ortho", q).gram.value
 
             for i in range(n):
                 num = np.zeros((n, n))
@@ -121,8 +135,32 @@ class TestEvalFrame:
                     up = gram_at(tuple(pp))
                     pp[l] -= 2 * h
                     dn = gram_at(tuple(pp))
-                    num += fa.rows[i, l] * (up - dn) / (2 * h)
-                assert np.max(np.abs(fa.dgram[i] - num)) < 1e-6
+                    num += fa.F.value[i, l] * (up - dn) / (2 * h)
+                assert np.max(np.abs(fa.dgram.value[i] - num)) < 1e-6
+
+    def test_arrays_handed_out_are_read_only(self):
+        """eval_frame and gradient_basis hand out the cached jets, so no
+        caller can write into what the operators read."""
+        for name, frame in [("polar2", "skew"), ("sphere2", "coord")]:
+            chart = chart_of(name)
+            arrays = handed_out_arrays(eval_frame(chart, frame, sample_point(chart, RNG)))
+            assert len(arrays) >= 8
+            for a in arrays:
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 1.0
+        with pytest.raises(ValueError):
+            gradient_basis(chart_of("polar2"), (2.0, 1.0))[0, 0] = 1.0
+
+    def test_gram_is_the_gram_the_operators_read(self):
+        """Bit for bit the Gram of frame_jets at order 0, which the
+        operators and product_field use, on frames whose F g F^T is not
+        exactly symmetric in floating point."""
+        for chart, frame in [(chart_of("polar2"), "skew"),
+                             (chart_of("sphere2"), "ortho"), (CHART3, "twist")]:
+            for _ in range(20):
+                p = sample_point(chart, RNG)
+                assert np.array_equal(eval_frame(chart, frame, p).gram.value,
+                                      frame_jets(chart, frame, p, 0).gram.value)
 
     def test_singular_frame_rejected(self):
         chart = Chart(name="bad", coords=("x", "y"),
@@ -174,24 +212,30 @@ class TestClassify:
 class TestDirectionalDerivative:
     def test_flat_radial(self):
         chart = chart_of("euclid2")
-        fa = eval_frame(chart, "coord", (1.0, 2.0))
-        assert dirderiv_scalar(chart, fa, (1.0, 0.0), "x^2 + y^2") == pytest.approx(2.0)
+        assert dirderiv_scalar(chart, "coord", (1.0, 2.0), (1.0, 0.0),
+                               "x^2 + y^2") == pytest.approx(2.0)
 
     def test_zero_direction(self):
         chart = chart_of("euclid2")
-        fa = eval_frame(chart, "coord", (1.0, 2.0))
-        assert dirderiv_scalar(chart, fa, (0.0, 0.0), "x^2 + y^2") == 0.0
+        assert dirderiv_scalar(chart, "coord", (1.0, 2.0), (0.0, 0.0), "x^2 + y^2") == 0.0
 
     def test_polar_angular_on_radial_function(self):
         chart = chart_of("polar2")
-        fa = eval_frame(chart, "coord", (2.0, 0.5))
-        assert dirderiv_scalar(chart, fa, (0.0, 1.0), "r^2") == 0.0
+        assert dirderiv_scalar(chart, "coord", (2.0, 0.5), (0.0, 1.0), "r^2") == 0.0
 
     def test_frame_components_resolve_through_frame(self):
         chart = chart_of("sphere2")
-        fa = eval_frame(chart, "ortho", (math.pi / 3, 0.2))
         # e_2 = (1/sin theta) d_phi, so e_2(phi) = 1/sin(theta)
-        got = dirderiv_scalar(chart, fa, (0.0, 1.0), "phi")
+        got = dirderiv_scalar(chart, "ortho", (math.pi / 3, 0.2), (0.0, 1.0), "phi")
+        assert got == pytest.approx(1.0 / math.sin(math.pi / 3), rel=1e-12)
+
+    def test_reads_the_named_frame(self):
+        """The same components a = (0, 1) are d_phi in the coordinate frame
+        and d_phi / sin(theta) in the orthonormal one."""
+        chart = chart_of("sphere2")
+        point = (math.pi / 3, 0.2)
+        assert dirderiv_scalar(chart, "coord", point, (0.0, 1.0), "phi") == 1.0
+        got = dirderiv_scalar(chart, "ortho", point, (0.0, 1.0), "phi")
         assert got == pytest.approx(1.0 / math.sin(math.pi / 3), rel=1e-12)
 
 
@@ -302,7 +346,7 @@ class TestChartConstruction:
         chart = Chart(name="c", coords=("u",), metric=[["1"]])
         assert "coord" in chart.frames
         fa = eval_frame(chart, "coord", (0.5,))
-        assert fa.gram[0, 0] == 1.0
+        assert fa.gram.value[0, 0] == 1.0
 
     def test_bad_metric_shape(self):
         with pytest.raises(DimMismatch):

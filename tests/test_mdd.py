@@ -132,10 +132,9 @@ class TestDirectional:
         phi = MultivectorField.scalar(SPHERE, "theta^2 * sin(phi)")
         for chi in ((), CHI_SPHERE):
             spec = conn_spec(SPHERE, "coord", chi)
-            frame_at = eval_frame(SPHERE, "coord", point)
             a = [0.7, -0.4]
             got = mdd(spec, a, phi, point)[0]
-            expect = dirderiv_scalar(SPHERE, frame_at, a,
+            expect = dirderiv_scalar(SPHERE, "coord", point, a,
                                      SPHERE.parse("theta^2 * sin(phi)"))
             assert got == pytest.approx(expect, abs=1e-12)
 
@@ -233,7 +232,7 @@ class TestLeibniz:
         AB = product_field(chart, frame, A, B, combine)
         lhs = mdd(spec, a, AB, point)
 
-        gram = as_gram(eval_frame(chart, frame, point).gram)
+        gram = as_gram(eval_frame(chart, frame, point).gram.value)
         dA = mdd(spec, a, A, point)
         dB = mdd(spec, a, B, point)
         Av = eval_field(A, point)
@@ -259,7 +258,7 @@ class TestLeibniz:
         AdotB = product_field(chart, frame, A, B, "dot")
         lhs = mdd(spec, a, AdotB, point)[0]
 
-        gram = as_gram(eval_frame(chart, frame, point).gram)
+        gram = as_gram(eval_frame(chart, frame, point).gram.value)
         rhs = mv_dot(mdd(spec, a, A, point), eval_field(B, point), gram)[0] \
             + mv_dot(eval_field(A, point), mdd(spec, a, B, point), gram)[0]
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -377,7 +376,7 @@ class TestGradient:
         grad = gradient(spec, phi, point)
         frame_at = eval_frame(chart, frame, point)
         avec = Multivector(2, {1: a[0], 2: a[1]})
-        lhs = mv_dot(avec, grad, as_gram(frame_at.gram))[0]
+        lhs = mv_dot(avec, grad, as_gram(frame_at.gram.value))[0]
         rhs = mdd(spec, a, phi, point)[0]
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -502,7 +501,7 @@ class TestDual:
                 point = sample_point(chart, rng)
                 got = eval_field(dual_field(chart, frame, A), point)
                 want = dual(eval_field(A, point),
-                            eval_frame(chart, frame, point).gram,
+                            eval_frame(chart, frame, point).gram.value,
                             chart.orientation)
                 assert got.grades() == [chart.n - k]
                 assert (got - want).norm_inf() < 1e-12 * max(1.0, want.norm_inf())

@@ -55,7 +55,7 @@ class TestEvaluation:
         point = (0.9, 0.5)
         for frame in ("coord", "ortho"):
             ghat = metric_tensor_field(SPHERE, frame)
-            gram = eval_frame(SPHERE, frame, point).gram
+            gram = eval_frame(SPHERE, frame, point).gram.value
             for i, Ei in enumerate((E1, E2)):
                 for j, Ej in enumerate((E1, E2)):
                     got = tensor_eval(ghat, [Ei, Ej], point)[0]
@@ -83,7 +83,7 @@ class TestEvaluation:
         point = (1.5, 0.3)
         got = tensor_eval(T, [E1], point)
         frame_at = eval_frame(POLAR, "coord", point)
-        want = point[0] ** 2 * frame_at.gram_inv[1]
+        want = point[0] ** 2 * frame_at.gram_inv.value[1]
         assert got[1] == pytest.approx(want[0], abs=1e-13)
         assert got[2] == pytest.approx(want[1], abs=1e-13)
 
@@ -100,7 +100,7 @@ class TestEvaluation:
     def test_index_raising_matches_reciprocal_arguments(self):
         T = rank2_example()
         point = (0.7, -0.6)
-        ginv = eval_frame(SPHERE, "coord", point).gram_inv
+        ginv = eval_frame(SPHERE, "coord", point).gram_inv.value
         for i in range(2):
             recip = Multivector(2, {1 << l: ginv[i][l] for l in range(2)})
             lhs = tensor_eval(T, [recip, E2], point)[0]
@@ -119,7 +119,7 @@ class TestEvaluation:
             chart = builtin(name).chart
             n = chart.n
             point = tuple(0.3 + 0.1 * i for i in range(n))
-            ginv = eval_frame(chart, "coord", point).gram_inv
+            ginv = eval_frame(chart, "coord", point).gram_inv.value
             recip = [Multivector(n, {1 << l: ginv[i][l] for l in range(n)})
                      for i in range(n)]
             for inputs, output in (((1, 1), 0), ((1,), 1), ((2, 1), 2),
@@ -190,8 +190,7 @@ class TestContraction:
         point = (1.0, 0.4)
         for chart in (SPHERE, POLAR):
             ghat = metric_tensor_field(chart, "coord")
-            frame_at = eval_frame(chart, "coord", point)
-            got = contract(ghat, 0, 1, frame_at)
+            got = contract(ghat, 0, 1, point)
             assert got[(0,)] == pytest.approx(2.0, abs=1e-12)
 
     def test_contraction_is_basis_independent(self):
@@ -199,14 +198,13 @@ class TestContraction:
         same scalar as the component formula."""
         T = rank2_example()
         point = (0.9, 0.5)
-        frame_at = eval_frame(SPHERE, "coord", point)
-        want = contract(T, 0, 1, frame_at)[(0,)]
+        want = contract(T, 0, 1, point)[(0,)]
 
         ortho = eval_frame(SPHERE, "ortho", point)
-        reciprocal = ortho.gram_inv @ ortho.rows
+        reciprocal = ortho.gram_inv.value @ ortho.F.value
         total = 0.0
         for i in range(2):
-            b_i = Multivector(2, {1 << l: ortho.rows[i][l] for l in range(2)})
+            b_i = Multivector(2, {1 << l: ortho.F.value[i][l] for l in range(2)})
             b_up = Multivector(2, {1 << l: reciprocal[i][l]
                                    for l in range(2)})
             total += tensor_eval(T, [b_i, b_up], point)[0]
@@ -219,20 +217,31 @@ class TestContraction:
         TP = tensor_product(tensor_conjugate(SPHERE, "coord", af),
                             tensor_conjugate(SPHERE, "coord", bf))
         frame_at = eval_frame(SPHERE, "coord", point)
-        got = contract(TP, 0, 1, frame_at).get((0,), 0.0)
+        got = contract(TP, 0, 1, point).get((0,), 0.0)
         a = Multivector(2, {1: point[0], 2: point[1]})
         b = Multivector(2, {1: 2.0, 2: np.sin(point[0])})
-        want = mv_dot(a, b, as_gram(frame_at.gram))[0]
+        want = mv_dot(a, b, as_gram(frame_at.gram.value))[0]
         assert got == pytest.approx(want, abs=1e-12)
+
+    def test_reads_the_tensors_own_frame(self):
+        """The same components delta_ij over two frames contract with each
+        frame's own reciprocal: to g^11 + g^22 over the sphere's coordinate
+        frame and to 2 over its orthonormal frame."""
+        point = (0.9, 0.5)
+        sig = TensorSignature((1, 1), 0)
+        comps = {(1, 1, 0): "1", (2, 2, 0): "1"}
+        coord = contract(TensorField(SPHERE, "coord", sig, comps), 0, 1, point)
+        ortho = contract(TensorField(SPHERE, "ortho", sig, comps), 0, 1, point)
+        assert coord[(0,)] == pytest.approx(1.0 + 1.0 / np.sin(0.9) ** 2, rel=1e-12)
+        assert ortho[(0,)] == pytest.approx(2.0, rel=1e-12)
 
     def test_grade_one_slots_required(self):
         T = TensorField(SPHERE, "coord", TensorSignature((2, 1), 0),
                         {(3, 1, 0): "theta"})
-        frame_at = eval_frame(SPHERE, "coord", (0.8, 0.3))
         with pytest.raises(SlotGradeError):
-            contract(T, 0, 1, frame_at)
+            contract(T, 0, 1, (0.8, 0.3))
         with pytest.raises(SlotGradeError):
-            contract(T, 1, 1, frame_at)
+            contract(T, 1, 1, (0.8, 0.3))
 
 
 class TestDerivative:
@@ -315,7 +324,7 @@ class TestDerivative:
         lhs = 0.0
         for i in range(2):
             recip = MultivectorField(
-                "coord", {1 << l: ex.Num(float(frame_at.gram_inv[i][l]))
+                "coord", {1 << l: ex.Num(float(frame_at.gram_inv.value[i][l]))
                           for l in range(2)})
             lhs += tensor_derivative_chain(spec, T, a, [Ef[i], recip], point)[0]
 
@@ -408,7 +417,7 @@ class TestConjugates:
 
     def test_hat_of_reciprocal_vector_is_kronecker_delta(self):
         point = (0.9, 0.4)
-        ginv = eval_frame(SPHERE, "coord", point).gram_inv
+        ginv = eval_frame(SPHERE, "coord", point).gram_inv.value
         for i in range(2):
             recip = MultivectorField(
                 "coord", {1 << l: ex.Num(float(ginv[i][l])) for l in range(2)})
@@ -423,7 +432,7 @@ class TestConjugates:
         rng = np.random.default_rng(7)
         point = (1.1, 0.8)
         frame_at = eval_frame(SPHERE, "coord", point)
-        gram = as_gram(frame_at.gram)
+        gram = as_gram(frame_at.gram.value)
         b = [Multivector(2, {1: float(rng.uniform(-1, 1)),
                              2: float(rng.uniform(-1, 1))}) for _ in range(2)]
         a = [Multivector(2, {1: float(rng.uniform(-1, 1)),
@@ -440,7 +449,7 @@ class TestConjugates:
     def test_breve_pairs_blades_by_inner_product(self):
         point = (0.9, 0.7)
         frame_at = eval_frame(SPHERE, "coord", point)
-        gram = as_gram(frame_at.gram)
+        gram = as_gram(frame_at.gram.value)
         B = MultivectorField.parse(SPHERE, {"1,2": "theta*phi"})
         breve = tensor_conjugate_breve(SPHERE, "coord", B)
         E12 = Multivector(2, {3: 1.0})
@@ -495,9 +504,9 @@ def test_change_of_frame_transformation_law():
                        for d in range(2)] for c in range(2)])
     want = np.einsum("ac,bd,cd->ab", P, P, comps)
     for a_i in range(2):
-        b_a = Multivector(2, {1 << l: ortho.rows[a_i][l] for l in range(2)})
+        b_a = Multivector(2, {1 << l: ortho.F.value[a_i][l] for l in range(2)})
         for b_i in range(2):
-            b_b = Multivector(2, {1 << l: ortho.rows[b_i][l] for l in range(2)})
+            b_b = Multivector(2, {1 << l: ortho.F.value[b_i][l] for l in range(2)})
             got = tensor_eval(T, [b_a, b_b], point)[0]
             assert got == pytest.approx(want[a_i, b_i], abs=1e-10)
 
@@ -514,8 +523,8 @@ def test_change_of_frame_matrix_matches_metric_route(name):
                       for i in range(n)])
         for fa, fb in itertools.product(chart.frames, repeat=2):
             frame_b = eval_frame(chart, fb, point)
-            want = (eval_frame(chart, fa, point).rows @ g
-                    @ (frame_b.gram_inv @ frame_b.rows).T)
+            want = (eval_frame(chart, fa, point).F.value @ g
+                    @ (frame_b.gram_inv.value @ frame_b.F.value).T)
             got = change_of_frame_matrix(chart, fa, fb, point)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
