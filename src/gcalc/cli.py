@@ -411,7 +411,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # numpy's floating-point warnings stay off: an overflow reaches the
+        # output as a non-finite value, which render_json refuses in one line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except GcalcError as exc:
         print(f"gcalc: error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,22 @@ Walther, *Evaluating Derivatives*, 2nd ed., 2008): a constant subtree stays
 a float, and any other carries its value with maps of only the first and
 second partials over the coordinates it reads.  Each entry is computed as
 the dense :class:`gcalc.jets.Jet` formulas compute it, so the sparse results
-equal dense ones bit for bit up to the sign of zero.  :func:`eval_jet` is
-the one entry: it takes a tree, or a nested sequence of trees for the frame
-rows, metrics, vector and blade components that callers need as one array
-jet, and writes each tree's partials straight into that jet.
+equal dense ones bit for bit up to the sign of zero.  :func:`eval_jet` walks
+a tree, or a nested sequence of trees for the frame rows, metrics, vector
+and blade components that callers need as one array jet, and writes each
+tree's partials straight into that jet.
+
+Which partials a node carries depends only on the trees and the order, not
+on the point, yet the walk finds it out again at every point.  A
+:class:`Tape` finds it once: it records the walk's float operations, in the
+walk's order, as a flat list of register instructions (the tape form of the
+same book, ch. 13), and runs that list at each point, bit for bit equal to
+the walk and raising its errors in its order.  Building a tape costs two to
+three walks, so only trees evaluated again and again get one: the owners of
+such trees (a chart's metric and frames, a field's blade grid) evaluate them
+through a :class:`Program`, which walks the first two evaluations per
+(n, order) and builds the tape on the third, the rule of ski rental.  Trees
+drawn for one use keep calling :func:`eval_jet`.
 
 Trees deeper than 100 levels are refused.  The parser measures each
 subtree's height while it builds the nodes, so the limit costs no second
@@ -32,8 +44,10 @@ should build trees with the node operators instead of formatting text.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DimMismatch, DomainError, ParseError, UnknownIdentifier
 import numpy as np
@@ -396,28 +410,43 @@ def _call(name: str, u, order: int, n: int):
     return _compose(u, *function_coeffs(name, u[0], order), n)
 
 
-def _int_power(u, m: int, n: int):
-    """u**m for integer m, valid for negative bases (and u != 0 when m < 0)."""
-    v = _value(u)
+def _power_coeffs(v, m: int, derivs: bool = True):
+    """v**m and, with ``derivs``, its first two derivatives in v, for integer
+    m (and v != 0 when m < 0)."""
     if m < 0 and v == 0.0:
         raise DomainError("zero raised to a negative power")
     try:
-        if type(u) is not tuple:
+        if not derivs:
             return v ** m
-        if m == 0:
-            return 1.0, {}, None if u[2] is None else {}
-        f0 = v ** m
-        f1 = m * v ** (m - 1)
-        f2 = m * (m - 1) * v ** (m - 2) if m != 1 else 0.0
+        return v ** m, m * v ** (m - 1), m * (m - 1) * v ** (m - 2) if m != 1 else 0.0
     except OverflowError:
         raise DomainError(f"integer power of {v!r} overflows") from None
-    return _compose(u, f0, f1, f2, n)
+
+
+def _int_power(u, m: int, n: int):
+    """u**m for integer m, valid for negative bases (and u != 0 when m < 0)."""
+    if type(u) is not tuple:
+        return _power_coeffs(float(u), m, False)
+    if m == 0:
+        return 1.0, {}, None if u[2] is None else {}
+    return _compose(u, *_power_coeffs(u[0], m), n)
+
+
+# The checks of the walk; a tape calls them with a second, unused operand.
+
+def _divisor(v, _=None):
+    if v == 0.0:
+        raise DomainError("division by zero")
+
+
+def _positive_base(v, _=None):
+    if v <= 0.0:
+        raise DomainError("power with a non-integer exponent needs a positive base")
 
 
 def _general_power(base, expo, order: int, n: int):
     """base ** expo as exp(expo * log(base)); needs a positive base."""
-    if _value(base) <= 0.0:
-        raise DomainError("power with a non-integer exponent needs a positive base")
+    _positive_base(_value(base))
     return _call("exp", _times(expo, _call("log", base, order, n), n), order, n)
 
 
@@ -436,6 +465,35 @@ def _is_constant(e: Expr) -> bool:
     return _is_constant(e.left) and _is_constant(e.right)
 
 
+def _exponent(e: Expr) -> float:
+    """The value of a constant exponent tree, which must be finite."""
+    c = float(_eval(e, (), 0, 0))
+    if not math.isfinite(c):
+        raise DomainError(f"exponent {c!r} is not finite")
+    return c
+
+
+def _sum(a, b, add: bool):
+    """a + b, or a - b when not ``add``."""
+    if type(b) is not tuple:
+        if type(a) is not tuple:
+            return a + b if add else a - b
+        return (a[0] + b if add else a[0] - b), a[1], a[2]
+    if type(a) is not tuple:
+        return (b[0] + a, b[1], b[2]) if add else (a - b[0], *_scale(b, -1.0)[1:])
+    return _add(a, b, 1.0 if add else -1.0)
+
+
+def _quotient(num, den, n: int):
+    """num / den for a den whose value is not zero."""
+    if type(den) is not tuple:
+        return _scale(num, 1.0 / den) if type(num) is tuple else num / den
+    # 1/den as Jet._inverse forms it: f' = -v^2, f'' = 2 v^3
+    v = 1.0 / den[0]
+    inv = _compose(den, v, -v * v, None if den[2] is None else 2.0 * v ** 3, n)
+    return _mul(num, inv, n) if type(num) is tuple else _scale(inv, num)
+
+
 def _eval(e: Expr, point: tuple, n: int, order: int):
     t = type(e)
     if t is Coord:
@@ -448,16 +506,8 @@ def _eval(e: Expr, point: tuple, n: int, order: int):
     if t is Mul:
         return _times(_eval(e.left, point, n, order), _eval(e.right, point, n, order), n)
     if t is Add or t is Sub:
-        a = _eval(e.left, point, n, order)
-        b = _eval(e.right, point, n, order)
-        add = t is Add
-        if type(b) is not tuple:
-            if type(a) is not tuple:
-                return a + b if add else a - b
-            return (a[0] + b if add else a[0] - b), a[1], a[2]
-        if type(a) is not tuple:
-            return (b[0] + a, b[1], b[2]) if add else (a - b[0], *_scale(b, -1.0)[1:])
-        return _add(a, b, 1.0 if add else -1.0)
+        return _sum(_eval(e.left, point, n, order), _eval(e.right, point, n, order),
+                    t is Add)
     if t is Neg:
         a = _eval(e.arg, point, n, order)
         # x * -1.0 is -x exactly
@@ -465,20 +515,12 @@ def _eval(e: Expr, point: tuple, n: int, order: int):
     if t is Div:
         num = _eval(e.left, point, n, order)
         den = _eval(e.right, point, n, order)
-        if _value(den) == 0.0:
-            raise DomainError("division by zero")
-        if type(den) is not tuple:
-            return _scale(num, 1.0 / den) if type(num) is tuple else num / den
-        # 1/den as Jet._inverse forms it: f' = -v^2, f'' = 2 v^3
-        v = 1.0 / den[0]
-        inv = _compose(den, v, -v * v, None if den[2] is None else 2.0 * v ** 3, n)
-        return _mul(num, inv, n) if type(num) is tuple else _scale(inv, num)
+        _divisor(_value(den))
+        return _quotient(num, den, n)
     if t is Pow:
         base = _eval(e.base, point, n, order)
         if _is_constant(e.expo):
-            c = float(_eval(e.expo, point, n, 0))
-            if not math.isfinite(c):
-                raise DomainError(f"exponent {c!r} is not finite")
+            c = _exponent(e.expo)
             if abs(c - round(c)) < 1e-12:
                 return _int_power(base, int(round(c)), n)
             return _general_power(base, c, order, n)
@@ -529,6 +571,245 @@ def eval_jet(trees, point, order: int = 2) -> Jet:
     if not shape:
         return Jet(values[0], *(c[0] for c in coeffs[1:]))
     return Jet(*(c.reshape(shape + c.shape[1:]) for c in coeffs))
+
+
+# -- tapes ----------------------------------------------------------------
+#
+# A tape is the walk above with its sparsity decisions made once.  The
+# builder runs the walker's own helpers with the point's coordinates as
+# registers (_Reg): arithmetic on a register records one float instruction,
+# arithmetic on plain numbers is done at build time, as the walker would do
+# it at every point, and each check or function the walker applies to a
+# value becomes an instruction that raises as the walker would.  The
+# instructions keep the walker's order, so a tape raises the walker's first
+# error and computes every entry with the walker's operations.
+
+class _Reg:
+    """A register of a tape being built; arithmetic on it is recorded."""
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape, index):
+        self.tape = tape
+        self.index = index
+
+    def __add__(self, o):
+        return self.tape.emit(operator.add, self, o)
+
+    def __radd__(self, o):
+        return self.tape.emit(operator.add, o, self)
+
+    def __sub__(self, o):
+        return self.tape.emit(operator.sub, self, o)
+
+    def __rsub__(self, o):
+        return self.tape.emit(operator.sub, o, self)
+
+    def __mul__(self, o):
+        return self.tape.emit(operator.mul, self, o)
+
+    def __rmul__(self, o):
+        return self.tape.emit(operator.mul, o, self)
+
+    def __truediv__(self, o):
+        return self.tape.emit(operator.truediv, self, o)
+
+    def __rtruediv__(self, o):
+        return self.tape.emit(operator.truediv, o, self)
+
+    def __pow__(self, o):
+        return self.tape.emit(operator.pow, self, o)
+
+    def __neg__(self):
+        return self.tape.emit(_neg, self, None)
+
+
+def _neg(a, _):
+    return -a
+
+
+def _plain(u):
+    """_value of a built node, which may be a register."""
+    return u if type(u) is _Reg else _value(u)
+
+
+class Tape:
+    """The jet of a nested sequence of trees at any point of n coordinates,
+    as a flat list of float instructions ``r[d] = fn(r[a], r[b])`` over a
+    register list ``r`` that starts with the point.
+
+    It equals :func:`eval_jet` of the same trees bit for bit, with the same
+    first error.  Building it raises wherever the walk of some tree fails
+    at every point (a constant subtree that raises, a coordinate index the
+    point lacks, an unknown node).
+    """
+
+    __slots__ = ("n", "order", "shape", "parts", "regs", "code", "template", "dest",
+                 "gather")
+
+    def __init__(self, trees, n: int, order: int):
+        grid = np.array(trees, dtype=object)
+        size = grid.size
+        self.n, self.order, self.shape = n, order, grid.shape
+        # (start, stop, shape) of each Taylor coefficient in the output buffer
+        cuts = [size * sum(n ** k for k in range(d)) for d in range(order + 2)]
+        self.parts = [(cuts[d], cuts[d + 1], grid.shape + (n,) * d) for d in range(order + 1)]
+        self.regs = [0.0] * n
+        self.code = []
+        point = [_Reg(self, k) for k in range(n)]
+        self.template = np.zeros(cuts[-1])
+        dest, src = [], []
+
+        def put(pos, x):
+            if type(x) is _Reg:
+                dest.append(pos)
+                src.append(x.index)
+            else:
+                self.template[pos] = x
+
+        for p, tree in enumerate(grid.flat):
+            if tree is None:
+                continue
+            r = self._record(tree, point)
+            if type(r) is not tuple:
+                put(p, r)
+                continue
+            put(p, r[0])
+            for k, x in r[1].items():
+                put(size + p * n + k, x)
+            for k, x in (r[2] or {}).items():
+                put(size * (1 + n) + p * n * n + k, x)
+        self.dest = np.array(dest, dtype=np.intp)
+        self.gather = operator.itemgetter(*src) if src else None
+
+    def emit(self, fn, a, b) -> _Reg:
+        """Record ``fn(a, b)``; numbers get registers of their own."""
+        if fn is operator.mul:      # x * 1.0 is x exactly
+            if type(b) is float and b == 1.0:
+                return a
+            if type(a) is float and a == 1.0:
+                return b
+        d = len(self.regs)
+        self.regs.append(None)
+        self.code.append((fn, d, self._slot(a), self._slot(b)))
+        return _Reg(self, d)
+
+    def _slot(self, x) -> int:
+        if type(x) is _Reg:
+            return x.index
+        self.regs.append(x)
+        return len(self.regs) - 1
+
+    def _apply(self, fn, a, b, k: int = 0):
+        """``fn(a, b)``: done now on numbers, else recorded; a ``k``-tuple
+        result is unpacked into k registers (padded to three with None)."""
+        if type(a) is not _Reg and type(b) is not _Reg:
+            return fn(a, b)
+        t = self.emit(fn, a, b)
+        if not k:
+            return t
+        return tuple(self.emit(operator.getitem, t, i) for i in range(k)) + (None,) * (3 - k)
+
+    def _function(self, name: str, u):
+        """The walker's _call."""
+        coeffs = partial(function_coeffs, name)
+        if type(u) is tuple:
+            return _compose(u, *self._apply(coeffs, u[0], self.order, self.order + 1), self.n)
+        if type(u) is _Reg:
+            return self._apply(coeffs, u, 0, 1)[0]
+        return _call(name, u, self.order, self.n)
+
+    def _record(self, e: Expr, point: list):
+        """The walker's _eval, recording what depends on the point."""
+        t, n, order = type(e), self.n, self.order
+        rec = self._record
+        if t is Coord:
+            if not 0 <= e.index < n:     # such trees stay with the walker
+                raise IndexError(f"no coordinate {e.index} in {n}")
+            return _eval(e, point, n, order)
+        if t is Num:
+            return e.value
+        if t is Mul:
+            return _times(rec(e.left, point), rec(e.right, point), n)
+        if t is Add or t is Sub:
+            return _sum(rec(e.left, point), rec(e.right, point), t is Add)
+        if t is Neg:
+            a = rec(e.arg, point)
+            return _scale(a, -1.0) if type(a) is tuple else -a
+        if t is Div:
+            num, den = rec(e.left, point), rec(e.right, point)
+            self._apply(_divisor, _plain(den), None)
+            return _quotient(num, den, n)
+        if t is Pow:
+            base = rec(e.base, point)
+            if _is_constant(e.expo):
+                c = _exponent(e.expo)
+                if abs(c - round(c)) < 1e-12:
+                    m = int(round(c))
+                    if type(base) is tuple and m:
+                        return _compose(base, *self._apply(_power_coeffs, base[0], m,
+                                                           order + 1), n)
+                    if type(base) is _Reg:
+                        return self._apply(partial(_power_coeffs, derivs=False), base, m)
+                    return _int_power(base, m, n)
+                expo = c
+            else:
+                expo = rec(e.expo, point)
+            self._apply(_positive_base, _plain(base), None)
+            return self._function("exp", _times(expo, self._function("log", base), n))
+        if t is Call:
+            return self._function(e.name, rec(e.arg, point))
+        raise TypeError(f"unknown node {t!r}")
+
+    def __call__(self, point) -> Jet:
+        """The jet at ``point``, a tuple of n floats."""
+        r = self.regs.copy()
+        r[:self.n] = point
+        for fn, d, a, b in self.code:
+            r[d] = fn(r[a], r[b])
+        buf = self.template.copy()
+        if self.gather is not None:
+            buf[self.dest] = self.gather(r)
+        coeffs = [buf[lo:hi].reshape(shape) for lo, hi, shape in self.parts]
+        if not self.shape:
+            coeffs[0] = float(coeffs[0])
+        return Jet(*coeffs)
+
+
+class Program:
+    """The jets of reused trees, for an owner that evaluates them at many
+    points: a chart's metric and frames, a field's blade grid.
+
+    ``trees(n)`` gives the nested sequence of trees for points of n
+    coordinates.  Per (n, order) the first two evaluations walk the trees
+    with :func:`eval_jet` and the third builds a :class:`Tape`, which runs
+    every later one.  A build costs two to three walks, so trees evaluated
+    once or twice never pay for it.  Trees whose walk fails at every point
+    build no tape and keep the walker, which fails as before.
+    """
+
+    __slots__ = ("trees", "runs")
+
+    def __init__(self, trees):
+        self.trees = trees
+        self.runs = {}   # (n, order) -> evaluations so far, then the tape
+
+    def jet(self, point, order: int) -> Jet:
+        point = tuple(map(float, point))
+        key = (len(point), order)
+        run = self.runs.get(key, 0)
+        if type(run) is int:
+            trees = self.trees(len(point))
+            if run < 2:
+                self.runs[key] = run + 1
+                return eval_jet(trees, point, order)
+            try:
+                run = Tape(trees, len(point), order)
+            except Exception:
+                # whatever stopped the build stops every walk, in its place
+                run = partial(eval_jet, trees, order=order)
+            self.runs[key] = run
+        return run(point)
 
 
 def check_point(point, n: int):

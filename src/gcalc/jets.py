@@ -307,6 +307,9 @@ def mat_det_inv(m: Jet):
 
 
 def singular(m: np.ndarray) -> bool:
-    """Whether |det m| <= 1e-12 (max |m_ij|)^n: the degeneracy test of a
-    square matrix, which scaling m does not change."""
-    return abs(np.linalg.det(m)) <= 1e-12 * float(abs(m).max()) ** len(m)
+    """Whether |det(m / s)| <= 1e-12 with s = max |m_ij|: the degeneracy
+    test of a square matrix, which scaling m does not change and which
+    cannot overflow.  A zero matrix, or one with an entry that is not
+    finite, is singular."""
+    s = float(abs(m).max())
+    return not 0.0 < s < math.inf or abs(np.linalg.det(m / s)) <= 1e-12

@@ -66,6 +66,9 @@ class Chart:
     antisymmetric in (j, k); unspecified entries are zero.
     ``domain`` gives per-coordinate sampling bounds used by property suites.
     Charts are immutable, so caches keyed on their identity cannot go stale.
+    The metric and each frame are evaluated through an
+    :class:`gcalc.expr.Program`, which runs them from a tape once they are
+    reused.
     """
 
     name: str
@@ -77,6 +80,8 @@ class Chart:
     domain: tuple = ()
     # the frames whose rows are the literal identity, decided once here
     identity_frames: frozenset = field(init=False, repr=False)
+    metric_program: ex.Program = field(init=False, repr=False)
+    frame_programs: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
         def put(name, value):
@@ -84,7 +89,9 @@ class Chart:
 
         put("coords", tuple(self.coords))
         n = len(self.coords)
-        put("metric", self._parse_rows(self.metric, "metric"))
+        metric = self._parse_rows(self.metric, "metric")
+        put("metric", metric)
+        put("metric_program", ex.Program(lambda n: metric))
         eye = tuple(tuple(ex.Num(1.0 if i == j else 0.0) for j in range(n))
                     for i in range(n))
         frames = {fname: eye if isinstance(rows, str) and rows == "identity"
@@ -92,6 +99,8 @@ class Chart:
                   for fname, rows in self.frames.items()}
         frames.setdefault("coord", eye)
         put("frames", MappingProxyType(frames))
+        put("frame_programs", MappingProxyType(
+            {fname: ex.Program(lambda n, rows=rows: rows) for fname, rows in frames.items()}))
         put("identity_frames", frozenset(f for f, rows in frames.items()
                                          if _is_identity(rows)))
         if "coord" not in self.identity_frames:
@@ -155,9 +164,12 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     n = chart.n
     ex.check_point(point, n)
     identity = frame in chart.identity_frames
-    F = (Jet(np.eye(n), *(np.zeros((n,) * (2 + d)) for d in range(1, order + 1)))
-         if identity else ex.eval_jet(chart.frame_rows(frame), point, order))
-    g_coord = gram = ex.eval_jet(chart.metric, point, order)
+    if identity:
+        F = Jet(np.eye(n), *(np.zeros((n,) * (2 + d)) for d in range(1, order + 1)))
+    else:
+        chart.frame_rows(frame)     # refuses a frame the chart lacks
+        F = chart.frame_programs[frame].jet(point, order)
+    g_coord = gram = chart.metric_program.jet(point, order)
     if not identity:
         if singular(F.value):
             raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
@@ -254,10 +266,20 @@ class MultivectorField:
 
     Primitive fields can supply value, gradient and Hessian data for their
     components, so two derivative operators may be stacked on top of them.
+    ``components`` is a read-only copy of the map given, so the tape of
+    ``program``, the blade grid as an :class:`gcalc.expr.Program`, cannot go
+    stale.
     """
 
     frame: str
-    components: dict
+    components: Mapping
+    program: ex.Program = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        comps = MappingProxyType(dict(self.components))
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "program", ex.Program(
+            lambda n: [comps.get(m) for m in range(1 << n)]))
 
     @property
     def budget(self) -> int:

@@ -58,7 +58,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import blades as bl
-from . import expr as ex
 from .algebra import Multivector
 from .connection import ConnSpec, gamma_jets, levi_civita
 from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
@@ -100,8 +99,7 @@ def field_jets(field, point, order: int) -> Jet:
         raise JetBudgetExhausted(
             f"field supports jets to order {field.budget}, requested {order}")
     if isinstance(field, MultivectorField):
-        comps = field.components
-        return ex.eval_jet([comps.get(m) for m in range(1 << len(point))], point, order)
+        return field.program.jet(point, order)
     return field.fn(point, order)
 
 

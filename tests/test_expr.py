@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcalc import expr
 from gcalc.errors import DomainError, GcalcError, ParseError, UnknownIdentifier
-from gcalc.expr import (Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub,
+from gcalc.expr import (Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub, Tape,
                         eval_jet, eval_value, parse, to_text)
 from gcalc.jets import FUNCTIONS, Jet, apply_function, function_coeffs
 from gcalc.suites import _rand_expr_text
@@ -433,9 +433,34 @@ def _outcome(fn):
         return type(err), str(err)
 
 
+def _same_bits(a, b) -> bool:
+    """Equal errors, or jets whose coefficients match bit for bit, the sign
+    of zero included."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return a.order == b.order and all(
+        type(x) is type(y) and np.shape(x) == np.shape(y)
+        and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(a.coeffs, b.coeffs))
+
+
+def _assert_tape_same(trees, point, order):
+    """A tape of ``trees`` gives the walker's jet, or its error, bit for bit.
+    Only trees whose walk fails at every point build no tape."""
+    point = tuple(map(float, point))
+    walked = _outcome(lambda: eval_jet(trees, point, order))
+    try:
+        tape = Tape(trees, len(point), order)
+    except Exception:
+        assert isinstance(walked, tuple), "a tree that walks built no tape"
+        return
+    assert _same_bits(_outcome(lambda: tape(point)), walked)
+
+
 def _assert_same(tree, point, order):
     want = _outcome(lambda: _dense_eval_jet(tree, point, order))
     got = _outcome(lambda: eval_jet(tree, point, order))
+    _assert_tape_same(tree, point, order)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -512,6 +537,7 @@ class TestSparseAgainstDenseWalk:
         trees = [[parse(t, ["x", "y"]) for t in row] for row in texts] + [[None, Num(2.0)]]
         point = (0.4, -0.7)
         for order in (0, 1, 2):
+            _assert_tape_same(trees, point, order)
             jet = eval_jet(trees, point, order)
             assert jet.value.shape == (4, 2) and jet.order == order
             for i, row in enumerate(trees):
@@ -526,3 +552,21 @@ class TestSparseAgainstDenseWalk:
             eval_jet(trees, (-1.0,), 1)
         with pytest.raises(DomainError, match="division by zero"):
             eval_jet(trees[::-1], (-1.0,), 1)
+        for grid in (trees, trees[::-1]):
+            _assert_tape_same(grid, (-1.0,), 1)
+        # a constant error after a point-dependent one, in the same tree and
+        # in a later tree: the tape keeps the walker, which raises the first
+        for grid in ([parse("log(x) + 0^-1", ["x"])], trees + [parse("1/0", ["x"])]):
+            for x in (-1.0, 2.0):
+                _assert_tape_same(grid, (x,), 1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_tape_reruns(self, order):
+        """One tape at many points, each equal to the walk there."""
+        trees = [parse(t, ["x", "y"]) for t in ("x*y/(1 + x^2)", "sqrt(x)", "y^x")]
+        tape = Tape(trees, 2, order)
+        rng = np.random.default_rng(order)
+        for point in rng.uniform(-1.0, 1.0, size=(20, 2)):
+            point = tuple(map(float, point))
+            assert _same_bits(_outcome(lambda: tape(point)),
+                              _outcome(lambda: eval_jet(trees, point, order)))

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ _REPEATED_BLADE_DOC = json.dumps({"name": "r", "coordinates": ["x", "y"],
                                   "metric": [["1", "0"], ["0", "1"]],
                                   "fields": {"f": {"components": {"1": "x", "01": "y"}}}})
 
+def _scaled_doc(n, scale):
+    """A flat n-coordinate manifest whose metric is ``scale`` times the
+    identity."""
+    coords = ["x", "y", "z"][:n]
+    return json.dumps({"name": "w", "coordinates": coords,
+                       "metric": [[scale if i == j else "0" for j in range(n)]
+                                  for i in range(n)]})
+
+
 # one coordinate more than the derivative operators accept
 _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(13)],
                         "metric": [["1" if i == j else "0" for j in range(13)]
@@ -136,6 +146,8 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
     ["eval", _REPEATED_BLADE_DOC, "--op", "curl", "--field", "f",
      "--point", "x=1,y=0.5"],
     ["maxwell", "--potential", "3:x,3:y", "--point", "t=0,x=0.1,y=0.2,z=0.3"],
+    ["eval", "euclid3", "--op", "mdd", "--dir", "1=1e308,2=1e308",
+     "--field", "A: 1 = x*1e308", "--point", "x=1,y=0,z=0"],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
         "infinite-exponent", "power-overflow", "orientation", "nesting",
         "long-chain", "repeated-coordinate",
@@ -144,13 +156,46 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
         "point-nan", "point-inf", "connection-point-inf", "direction-nan",
         "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit",
         "coord-not-identity", "dir-repeated", "inline-key-repeated",
-        "inline-blade-repeated", "manifest-blade-repeated", "potential-repeated"])
+        "inline-blade-repeated", "manifest-blade-repeated", "potential-repeated",
+        "mdd-overflow"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("gcalc: error: ")
+
+
+# Metrics whose determinant overflows a float: the degeneracy test is scale
+# free, so they are accepted, and their connection and divergence are finite.
+_HUGE_METRICS = [
+    ["connection", _scaled_doc(2, "1e200"), "--point", "x=1,y=0"],
+    ["eval", _scaled_doc(3, "1e150"), "--op", "div", "--field", "A: 1 = x*y; 2 = y",
+     "--point", "x=1,y=0.5,z=0"],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_METRICS, ids=["connection-1e200", "div-1e150"])
+def test_huge_metric_exits_zero_with_finite_output(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
+    json.loads(captured.out)
+
+
+@pytest.mark.parametrize("argv", _HUGE_METRICS + [
+    ["eval", "euclid3", "--op", "mdd", "--dir", "1=1e308,2=1e308",
+     "--field", "A: 1 = x*1e308", "--point", "x=1,y=0,z=0"]],
+    ids=["connection-1e200", "div-1e150", "mdd-overflow"])
+def test_overflow_warns_nothing(argv, capsys):
+    """Without a warning filter, as the installed script runs, numpy's
+    overflow warnings do not reach stderr either."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(argv)
+    assert caught == []
+    assert len(capsys.readouterr().err.splitlines()) <= 1
 
 
 _VALUES = st.one_of(

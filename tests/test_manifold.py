@@ -15,7 +15,7 @@ from gcalc.manifest import ManifestError, builtin, load_manifest
 from gcalc.manifold import (Chart, MultivectorField, bracket, classify_frame,
                             dirderiv_scalar, eval_frame, frame_jets, gradient_basis,
                             lie_bracket, sample_point)
-from gcalc.mdd import gradient
+from gcalc.mdd import field_jets, gradient
 from test_curvature import CHART3
 
 RNG = np.random.default_rng(512)
@@ -369,11 +369,82 @@ class TestChartConstruction:
             del chart.frames["ortho"]
         assert set(chart.frames) == {"coord", "ortho"}
 
+    def test_field_components_read_only(self):
+        chart = chart_of("sphere2")
+        given = {1: ex.parse("theta", chart.coords)}
+        field = MultivectorField("coord", given)
+        with pytest.raises(TypeError):
+            field.components[2] = ex.Num(1.0)
+        given[2] = ex.Num(1.0)
+        assert set(field.components) == {1}
+
+
+class TestPrograms:
+    """A chart's metric and frames and a field's blade grid walk their trees
+    on the first two evaluations per (n, order) and run a tape from the
+    third on, with the walker's results bit for bit."""
+
+    @staticmethod
+    def chart():
+        return Chart(name="p", coords=("u", "v"),
+                     metric=[["2 + u^2", "0.3*v"], ["0.3*v", "1 + exp(u*v)"]],
+                     frames={"f": [["1", "0.2*v"], ["sin(u)", "2"]]})
+
+    @staticmethod
+    def counting(monkeypatch):
+        walks = []
+        walk = ex.eval_jet
+
+        def counted(trees, point, order=2):
+            walks.append(order)
+            return walk(trees, point, order)
+        monkeypatch.setattr(ex, "eval_jet", counted)
+        return walks
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_chart_programs(self, monkeypatch, order):
+        walk = ex.eval_jet
+        walks = self.counting(monkeypatch)
+        chart = self.chart()
+        for k in range(1, 6):
+            point = (0.1 * k, 0.3 - 0.05 * k)
+            before = len(walks)
+            fj = frame_jets(chart, "f", point, order)
+            for program, got, trees in ((chart.metric_program, fj.g_coord, chart.metric),
+                                        (chart.frame_programs["f"], fj.F, chart.frames["f"])):
+                run = program.runs[(2, order)]
+                if k <= 2:
+                    assert run == k
+                else:
+                    assert isinstance(run, ex.Tape)
+                want = walk(trees, point, order)
+                for a, b in zip(got.coeffs, want.coeffs):
+                    assert a.tobytes() == b.tobytes()
+            assert len(walks) == before + (2 if k <= 2 else 0)
+        assert set(chart.metric_program.runs) == {(2, order)}
+
+    def test_field_program(self, monkeypatch):
+        walk = ex.eval_jet
+        walks = self.counting(monkeypatch)
+        chart = self.chart()
+        field = MultivectorField.parse(chart, {"1": "u*v", "1,2": "sin(u)/(1 + v^2)"})
+        grid = [field.components.get(m) for m in range(4)]
+        for order in (1, 2):
+            for k in range(1, 6):
+                point = (0.1 * k, 0.3 - 0.05 * k)
+                got = field_jets(field, point, order)
+                run = field.program.runs[(2, order)]
+                assert run == k if k <= 2 else isinstance(run, ex.Tape)
+                want = walk(grid, point, order)
+                for a, b in zip(got.coeffs, want.coeffs):
+                    assert a.tobytes() == b.tobytes()
+        assert walks == [1, 1, 2, 2]
+
 
 class TestScaleFreeDegeneracy:
-    """The frame and frame-Gram tests compare |det M| with (max |M_ij|)^n, so
-    a chart whose metric or frame is scaled by 1e-7 is accepted, and its
-    gradient is the unscaled one divided by the scale."""
+    """The frame and frame-Gram tests compare |det(M/s)| with 1e-12 for
+    s = max |M_ij|, so a chart whose metric or frame is scaled by 1e-7 is
+    accepted, and its gradient is the unscaled one divided by the scale."""
 
     S = 1e-7
     POINT = (0.4, -0.3)

@@ -7,6 +7,7 @@ under every name the library and the suites bind them to.
 """
 
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def _unsigned_wedge_table(n):
     return np.abs(_wedge_table(n))
 
 
+def _tape_reciprocal_inverted(self, o):
+    """A tape that records the reciprocal 1/v of a division as v/1, so that
+    charts and fields evaluated from the third use on divide wrongly; the
+    walker still divides right."""
+    return self.tape.emit(operator.truediv, self, o)
+
+
 def _statuses(suite):
     report = suites.run_checks(suite, samples=4)
     return {row["name"]: row["status"] for row in report["checks"]}
@@ -99,6 +107,12 @@ MUTANTS = [
      [(manifold, "_is_identity", _every_frame_identity),
       (manifest, "_BUILTINS", {}), (suites, "_BUILT_CHARTS", {})],
      "all", ["mdd.gradient_frame_independence", "tensor.metric_parallel"]),
+    # tapes live on the charts and fields that own the trees, so the cached
+    # charts are replaced by ones whose tapes are built under the mutant
+    ("tape_reciprocal_inverted",
+     [(expr._Reg, "__rtruediv__", _tape_reciprocal_inverted),
+      (manifest, "_BUILTINS", {}), (suites, "_BUILT_CHARTS", {})],
+     "all", ["mdd.gradient_frame_independence"]),
     ("chi_dropped",
      [(connection, "gamma_jets", _chi_dropped), (mdd, "gamma_jets", _chi_dropped),
       (tensor, "gamma_jets", _chi_dropped)],
