@@ -13,27 +13,25 @@ coordinates; call syntax is restricted to the function whitelist in
 :mod:`gcalc.jets`.  Expressions evaluate to plain floats or to jets carrying
 first and second derivatives.
 
-Evaluation is the sparse vector mode of forward differentiation (Griewank &
-Walther, *Evaluating Derivatives*, 2nd ed., 2008): a constant subtree stays
-a float, and any other carries its value with maps of only the first and
-second partials over the coordinates it reads.  Each entry is computed as
-the dense :class:`gcalc.jets.Jet` formulas compute it, so the sparse results
-equal dense ones bit for bit up to the sign of zero.  :func:`eval_jet` walks
-a tree, or a nested sequence of trees for the frame rows, metrics, vector
-and blade components that callers need as one array jet, and writes each
-tree's partials straight into that jet.
+Evaluation is one walk, the sparse vector mode of forward differentiation
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008): a constant
+subtree stays a float, and any other carries its value with maps of only
+the first and second partials over the coordinates it reads.  Each entry is
+computed as the dense :class:`gcalc.jets.Jet` formulas compute it, so the
+results equal dense ones bit for bit up to the sign of zero.
+:func:`eval_jet` runs the walk on a point of floats, over one tree or a
+nested sequence of trees, and writes every entry into one flat buffer that
+becomes the array jet.
 
-Which partials a node carries depends only on the trees and the order, not
-on the point, yet the walk finds it out again at every point.  A
-:class:`Tape` finds it once: it records the walk's float operations, in the
-walk's order, as a flat list of register instructions (the tape form of the
-same book, ch. 13), and runs that list at each point, bit for bit equal to
-the walk and raising its errors in its order.  Building a tape costs two to
-three walks, so only trees evaluated again and again get one: the owners of
-such trees (a chart's metric and frames, a field's blade grid) evaluate them
-through a :class:`Program`, which walks the first two evaluations per
-(n, order) and builds the tape on the third, the rule of ski rental.  Trees
-drawn for one use keep calling :func:`eval_jet`.
+Which partials a node carries depends on the trees and the order, not on
+the point.  A :class:`Tape` runs the same walk once on a point of
+registers, which records its float operations in order as a flat list of
+instructions (the tape form of the same book, ch. 13), and replays only
+those at each point: the walk's jet bit for bit, and its first error.  A
+build costs two to three walks, so the owners of reused trees (a chart's
+metric and frames, a field's blade grid) evaluate them through a
+:class:`Program`, which walks the first two evaluations per (n, order) and
+builds the tape on the third, the rule of ski rental.
 
 Trees deeper than 100 levels are refused.  The parser measures each
 subtree's height while it builds the nodes, so the limit costs no second
@@ -47,7 +45,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import DimMismatch, DomainError, ParseError, UnknownIdentifier
 import numpy as np
@@ -96,6 +94,10 @@ class Num(Expr):
 @dataclass(frozen=True, slots=True)
 class Coord(Expr):
     index: int
+
+    def __post_init__(self):
+        if self.index < 0:
+            raise IndexError(f"coordinate index {self.index} is negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,6 +345,22 @@ def to_text(node: Expr, coords) -> str:
 # order; an entry a map lacks is an exact zero there, so results equal the
 # dense ones bit for bit up to the sign of zero.  Maps are never changed
 # once a node has returned them.
+#
+# The point holds floats, or tape registers (_Reg, below) whose arithmetic
+# records instructions.  The four steps that look at a value itself, the
+# division and positive-base checks and the coefficients of a function and
+# of an integer power, go through _step, which does them on a number and
+# records them on a register.
+
+def _step(fn, v, arg, k: int = 0):
+    """``fn(v, arg)``, a step that looks at the value ``v``; on a tape
+    register it is recorded, a tuple result unpacked into ``k`` registers."""
+    if type(v) is float:
+        return fn(v, arg)
+    if type(v) is _Reg:
+        return v.tape.step(fn, v, arg, k)
+    return fn(float(v), arg)
+
 
 def _axpy(acc: dict, s, d: dict) -> dict:
     """acc[k] += s * d[k] for every entry of d."""
@@ -400,53 +418,60 @@ def _times(a, b, n):
     return _scale(b, a) if type(b) is tuple else a * b
 
 
-def _value(u) -> float:
-    return u[0] if type(u) is tuple else float(u)
+def _value(u):
+    return u[0] if type(u) is tuple else u
+
+
+# function_coeffs of each whitelisted function, as fn(v, order)
+_COEFFS = {name: partial(function_coeffs, name) for name in FUNCTIONS}
 
 
 def _call(name: str, u, order: int, n: int):
     if type(u) is not tuple:
-        return function_coeffs(name, float(u), 0)[0]
-    return _compose(u, *function_coeffs(name, u[0], order), n)
+        return _step(_COEFFS[name], u, 0, 1)[0]
+    return _compose(u, *_step(_COEFFS[name], u[0], order, order + 1), n)
 
 
-def _power_coeffs(v, m: int, derivs: bool = True):
-    """v**m and, with ``derivs``, its first two derivatives in v, for integer
-    m (and v != 0 when m < 0)."""
+def _power(v, m: int):
+    """v**m for integer m (and v != 0 when m < 0)."""
     if m < 0 and v == 0.0:
         raise DomainError("zero raised to a negative power")
     try:
-        if not derivs:
-            return v ** m
-        return v ** m, m * v ** (m - 1), m * (m - 1) * v ** (m - 2) if m != 1 else 0.0
+        return v ** m
     except OverflowError:
         raise DomainError(f"integer power of {v!r} overflows") from None
 
 
-def _int_power(u, m: int, n: int):
+def _power_coeffs(v, m: int):
+    """_power(v, m) and its first two derivatives in v."""
+    try:
+        return _power(v, m), m * v ** (m - 1), m * (m - 1) * v ** (m - 2) if m != 1 else 0.0
+    except OverflowError:
+        raise DomainError(f"integer power of {v!r} overflows") from None
+
+
+def _int_power(u, m: int, order: int, n: int):
     """u**m for integer m, valid for negative bases (and u != 0 when m < 0)."""
     if type(u) is not tuple:
-        return _power_coeffs(float(u), m, False)
+        return _step(_power, u, m)
     if m == 0:
         return 1.0, {}, None if u[2] is None else {}
-    return _compose(u, *_power_coeffs(u[0], m), n)
+    return _compose(u, *_step(_power_coeffs, u[0], m, order + 1), n)
 
 
-# The checks of the walk; a tape calls them with a second, unused operand.
-
-def _divisor(v, _=None):
+def _divisor(v, _):
     if v == 0.0:
         raise DomainError("division by zero")
 
 
-def _positive_base(v, _=None):
+def _positive_base(v, _):
     if v <= 0.0:
         raise DomainError("power with a non-integer exponent needs a positive base")
 
 
 def _general_power(base, expo, order: int, n: int):
     """base ** expo as exp(expo * log(base)); needs a positive base."""
-    _positive_base(_value(base))
+    _step(_positive_base, _value(base), None)
     return _call("exp", _times(expo, _call("log", base, order, n), n), order, n)
 
 
@@ -494,7 +519,7 @@ def _quotient(num, den, n: int):
     return _mul(num, inv, n) if type(num) is tuple else _scale(inv, num)
 
 
-def _eval(e: Expr, point: tuple, n: int, order: int):
+def _eval(e: Expr, point, n: int, order: int):
     t = type(e)
     if t is Coord:
         k = e.index
@@ -515,14 +540,14 @@ def _eval(e: Expr, point: tuple, n: int, order: int):
     if t is Div:
         num = _eval(e.left, point, n, order)
         den = _eval(e.right, point, n, order)
-        _divisor(_value(den))
+        _step(_divisor, _value(den), None)
         return _quotient(num, den, n)
     if t is Pow:
         base = _eval(e.base, point, n, order)
         if _is_constant(e.expo):
             c = _exponent(e.expo)
             if abs(c - round(c)) < 1e-12:
-                return _int_power(base, int(round(c)), n)
+                return _int_power(base, int(round(c)), order, n)
             return _general_power(base, c, order, n)
         return _general_power(base, _eval(e.expo, point, n, order), order, n)
     if t is Call:
@@ -536,6 +561,47 @@ def eval_value(e: Expr, point) -> float:
     return float(_eval(e, point, len(point), 0))
 
 
+# An array jet of shape S over n coordinates, to order d, lives in one flat
+# buffer: the values, then the gradients, then the Hessians, each in C order.
+
+@lru_cache(maxsize=256)
+def _layout(shape: tuple, n: int, order: int) -> tuple:
+    """(start, stop, shape) of each Taylor coefficient in the buffer."""
+    cuts = [math.prod(shape) * sum(n ** k for k in range(d)) for d in range(order + 2)]
+    return tuple((cuts[d], cuts[d + 1], shape + (n,) * d) for d in range(order + 1))
+
+
+def _write(buf, grid, point, order: int) -> None:
+    """Walk the trees of ``grid`` at ``point`` in C order and write each
+    one's entries into ``buf``; a None tree, and every partial a walk
+    leaves out, keeps the buffer's entry."""
+    n = len(point)
+    size = grid.size
+    for p, tree in enumerate(grid.flat):
+        if tree is None:
+            continue
+        r = _eval(tree, point, n, order)
+        if type(r) is not tuple:
+            buf[p] = r
+            continue
+        buf[p] = r[0]
+        at = size + p * n
+        for k, x in r[1].items():
+            buf[at + k] = x
+        if r[2]:
+            at = size * (1 + n) + p * n * n
+            for k, x in r[2].items():
+                buf[at + k] = x
+
+
+def _split(buf, layout: tuple) -> Jet:
+    """The jet whose coefficients the float array ``buf`` holds."""
+    coeffs = [buf[lo:hi].reshape(shape) for lo, hi, shape in layout]
+    if not layout[0][2]:
+        coeffs[0] = buf[0]
+    return Jet(*coeffs)
+
+
 def eval_jet(trees, point, order: int = 2) -> Jet:
     """Evaluate one tree, or a nested sequence of trees, to a jet of the
     requested order at ``point``.
@@ -545,44 +611,20 @@ def eval_jet(trees, point, order: int = 2) -> Jet:
     ``None`` entry is zero.  Trees are evaluated in C order.
     """
     point = tuple(map(float, point))
-    n = len(point)
     grid = np.array(trees, dtype=object)
-    size = grid.size
-    coeffs = [np.zeros((size,) + (n,) * d) for d in range(order + 1)]
-    values = coeffs[0]
-    grads = coeffs[1] if order else None
-    hess = coeffs[2].reshape(size, n * n) if order == 2 else None
-    for p, tree in enumerate(grid.flat):
-        if tree is None:
-            continue
-        r = _eval(tree, point, n, order)
-        if type(r) is not tuple:
-            values[p] = r
-            continue
-        values[p] = r[0]
-        row = grads[p]
-        for k, x in r[1].items():
-            row[k] = x
-        if hess is not None:
-            row = hess[p]
-            for k, x in r[2].items():
-                row[k] = x
-    shape = grid.shape
-    if not shape:
-        return Jet(values[0], *(c[0] for c in coeffs[1:]))
-    return Jet(*(c.reshape(shape + c.shape[1:]) for c in coeffs))
+    layout = _layout(grid.shape, len(point), order)
+    buf = np.zeros(layout[-1][1])
+    _write(buf, grid, point, order)
+    return _split(buf, layout)
 
 
 # -- tapes ----------------------------------------------------------------
 #
-# A tape is the walk above with its sparsity decisions made once.  The
-# builder runs the walker's own helpers with the point's coordinates as
-# registers (_Reg): arithmetic on a register records one float instruction,
-# arithmetic on plain numbers is done at build time, as the walker would do
-# it at every point, and each check or function the walker applies to a
-# value becomes an instruction that raises as the walker would.  The
-# instructions keep the walker's order, so a tape raises the walker's first
-# error and computes every entry with the walker's operations.
+# A tape is the walk above run once on a point of registers: arithmetic on
+# a register records one float instruction, arithmetic on numbers is done at
+# build time as the walk does it at every point, and each step through _step
+# becomes an instruction that computes or raises as the walk would, in the
+# walk's order.
 
 class _Reg:
     """A register of a tape being built; arithmetic on it is recorded."""
@@ -628,59 +670,33 @@ def _neg(a, _):
     return -a
 
 
-def _plain(u):
-    """_value of a built node, which may be a register."""
-    return u if type(u) is _Reg else _value(u)
-
-
 class Tape:
     """The jet of a nested sequence of trees at any point of n coordinates,
     as a flat list of float instructions ``r[d] = fn(r[a], r[b])`` over a
     register list ``r`` that starts with the point.
 
-    It equals :func:`eval_jet` of the same trees bit for bit, with the same
-    first error.  Building it raises wherever the walk of some tree fails
-    at every point (a constant subtree that raises, a coordinate index the
-    point lacks, an unknown node).
+    It is recorded by the walk of :func:`eval_jet` on registers, so it equals
+    that walk bit for bit, with the same first error.  The buffer entries
+    that hold a number form ``template``; ``gather`` reads the others from
+    the registers into the places ``dest`` names.  Building raises wherever
+    the walk of some tree fails at every point (a constant subtree that
+    raises, a coordinate index the point lacks, an unknown node).
     """
 
-    __slots__ = ("n", "order", "shape", "parts", "regs", "code", "template", "dest",
-                 "gather")
+    __slots__ = ("n", "layout", "regs", "code", "template", "dest", "gather")
 
     def __init__(self, trees, n: int, order: int):
         grid = np.array(trees, dtype=object)
-        size = grid.size
-        self.n, self.order, self.shape = n, order, grid.shape
-        # (start, stop, shape) of each Taylor coefficient in the output buffer
-        cuts = [size * sum(n ** k for k in range(d)) for d in range(order + 2)]
-        self.parts = [(cuts[d], cuts[d + 1], grid.shape + (n,) * d) for d in range(order + 1)]
+        self.n = n
+        self.layout = _layout(grid.shape, n, order)
         self.regs = [0.0] * n
         self.code = []
-        point = [_Reg(self, k) for k in range(n)]
-        self.template = np.zeros(cuts[-1])
-        dest, src = [], []
-
-        def put(pos, x):
-            if type(x) is _Reg:
-                dest.append(pos)
-                src.append(x.index)
-            else:
-                self.template[pos] = x
-
-        for p, tree in enumerate(grid.flat):
-            if tree is None:
-                continue
-            r = self._record(tree, point)
-            if type(r) is not tuple:
-                put(p, r)
-                continue
-            put(p, r[0])
-            for k, x in r[1].items():
-                put(size + p * n + k, x)
-            for k, x in (r[2] or {}).items():
-                put(size * (1 + n) + p * n * n + k, x)
+        buf = [0.0] * self.layout[-1][1]
+        _write(buf, grid, [_Reg(self, k) for k in range(n)], order)
+        dest = [p for p, x in enumerate(buf) if type(x) is _Reg]
+        self.template = np.array([0.0 if type(x) is _Reg else x for x in buf], dtype=float)
         self.dest = np.array(dest, dtype=np.intp)
-        self.gather = operator.itemgetter(*src) if src else None
+        self.gather = operator.itemgetter(*(buf[p].index for p in dest)) if dest else None
 
     def emit(self, fn, a, b) -> _Reg:
         """Record ``fn(a, b)``; numbers get registers of their own."""
@@ -700,66 +716,13 @@ class Tape:
         self.regs.append(x)
         return len(self.regs) - 1
 
-    def _apply(self, fn, a, b, k: int = 0):
-        """``fn(a, b)``: done now on numbers, else recorded; a ``k``-tuple
-        result is unpacked into k registers (padded to three with None)."""
-        if type(a) is not _Reg and type(b) is not _Reg:
-            return fn(a, b)
-        t = self.emit(fn, a, b)
+    def step(self, fn, v, arg, k: int):
+        """Record the step ``fn(v, arg)`` of :func:`_step`, a ``k``-tuple
+        result unpacked into k registers and padded with None to three."""
+        t = self.emit(fn, v, arg)
         if not k:
             return t
         return tuple(self.emit(operator.getitem, t, i) for i in range(k)) + (None,) * (3 - k)
-
-    def _function(self, name: str, u):
-        """The walker's _call."""
-        coeffs = partial(function_coeffs, name)
-        if type(u) is tuple:
-            return _compose(u, *self._apply(coeffs, u[0], self.order, self.order + 1), self.n)
-        if type(u) is _Reg:
-            return self._apply(coeffs, u, 0, 1)[0]
-        return _call(name, u, self.order, self.n)
-
-    def _record(self, e: Expr, point: list):
-        """The walker's _eval, recording what depends on the point."""
-        t, n, order = type(e), self.n, self.order
-        rec = self._record
-        if t is Coord:
-            if not 0 <= e.index < n:     # such trees stay with the walker
-                raise IndexError(f"no coordinate {e.index} in {n}")
-            return _eval(e, point, n, order)
-        if t is Num:
-            return e.value
-        if t is Mul:
-            return _times(rec(e.left, point), rec(e.right, point), n)
-        if t is Add or t is Sub:
-            return _sum(rec(e.left, point), rec(e.right, point), t is Add)
-        if t is Neg:
-            a = rec(e.arg, point)
-            return _scale(a, -1.0) if type(a) is tuple else -a
-        if t is Div:
-            num, den = rec(e.left, point), rec(e.right, point)
-            self._apply(_divisor, _plain(den), None)
-            return _quotient(num, den, n)
-        if t is Pow:
-            base = rec(e.base, point)
-            if _is_constant(e.expo):
-                c = _exponent(e.expo)
-                if abs(c - round(c)) < 1e-12:
-                    m = int(round(c))
-                    if type(base) is tuple and m:
-                        return _compose(base, *self._apply(_power_coeffs, base[0], m,
-                                                           order + 1), n)
-                    if type(base) is _Reg:
-                        return self._apply(partial(_power_coeffs, derivs=False), base, m)
-                    return _int_power(base, m, n)
-                expo = c
-            else:
-                expo = rec(e.expo, point)
-            self._apply(_positive_base, _plain(base), None)
-            return self._function("exp", _times(expo, self._function("log", base), n))
-        if t is Call:
-            return self._function(e.name, rec(e.arg, point))
-        raise TypeError(f"unknown node {t!r}")
 
     def __call__(self, point) -> Jet:
         """The jet at ``point``, a tuple of n floats."""
@@ -770,10 +733,7 @@ class Tape:
         buf = self.template.copy()
         if self.gather is not None:
             buf[self.dest] = self.gather(r)
-        coeffs = [buf[lo:hi].reshape(shape) for lo, hi, shape in self.parts]
-        if not self.shape:
-            coeffs[0] = float(coeffs[0])
-        return Jet(*coeffs)
+        return _split(buf, self.layout)
 
 
 class Program:

@@ -276,6 +276,25 @@ def _chk_expr_roundtrip(rng, samples):
     return float(bad), total, None
 
 
+def _chk_program_matches_walk(rng, samples):
+    """A fresh vector field's program walks its first two points and builds
+    and runs a tape at the third, where every entry must equal the walk's,
+    bit for bit.  The first two are the walk itself, so only the third is
+    compared."""
+    dev = 0.0
+    for _ in range(samples):
+        name = ("sphere2", "polar2", "curved3")[int(rng.integers(0, 3))]
+        chart = _curved3() if name == "curved3" else _chart(name)
+        field = _rand_field(rng, chart, grades={1})
+        for _ in range(3):
+            point = sample_point(chart, rng)
+            got = field.program.jet(point, 2)
+        grid = [field.components.get(m) for m in range(1 << chart.n)]
+        for a, b in zip(got.coeffs, ex.eval_jet(grid, point, 2).coeffs):
+            dev = max(dev, _rel_arr(a, b))
+    return dev, samples, None
+
+
 # ---------------------------------------------------------------------------
 # algebra checks
 
@@ -1332,6 +1351,7 @@ CHECKS = (
     ("forms.metric_blindness", "forms", 1e-10, _chk_forms_metric_blind),
     ("maxwell.potential_field_source", "maxwell", 1e-10, _chk_maxwell),
     ("algebra.dual_inverse", "algebra", 1e-10, _chk_alg_dual_inverse),
+    ("expr.program_matches_walk", "expr", 0.0, _chk_program_matches_walk),
 )
 
 SUITE_NAMES = ("expr", "algebra", "frames", "connection", "mdd", "exterior",

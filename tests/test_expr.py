@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +572,33 @@ class TestSparseAgainstDenseWalk:
             point = tuple(map(float, point))
             assert _same_bits(_outcome(lambda: tape(point)),
                               _outcome(lambda: eval_jet(trees, point, order)))
+
+
+class TestCoordinateIndex:
+    """The walk, a tape and a program agree on coordinate indexes: a
+    negative one cannot be built, and one the point lacks raises IndexError
+    in each."""
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(IndexError, match="negative"):
+            Coord(-1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_index_past_the_point(self, order):
+        trees = [Coord(0), Coord(1) * Coord(2)]
+        point = (0.5, -0.25)
+        with pytest.raises(IndexError):
+            eval_jet(trees, point, order)
+        with pytest.raises(IndexError):
+            Tape(trees, 2, order)
+        program = expr.Program(lambda n: trees)
+        for _ in range(4):      # two walks, the build that fails, a walk
+            with pytest.raises(IndexError):
+                program.jet(point, order)
+
+
+def test_readme_names_every_function():
+    """The README's expression-language paragraph lists the whitelist."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.search(r"and the functions `([a-z ]+)`", readme).group(1).split()
+    assert sorted(names) == sorted(FUNCTIONS)

@@ -7,12 +7,15 @@ under every name the library and the suites bind them to.
 """
 
 import dataclasses
+import functools
+import inspect
 import operator
 
 import numpy as np
 import pytest
 
-from gcalc import algebra, connection, expr, manifest, manifold, mdd, suites, tensor
+from gcalc import (algebra, connection, expr, forms, manifest, manifold, mdd, suites,
+                   tensor)
 from gcalc.jets import contract
 
 
@@ -52,6 +55,40 @@ def _product_without_second_cross_term(a, b, n):
     return av * bv, g, expr._outer(h, 1.0, ag, bg, n)
 
 
+_mul = expr._mul
+
+
+def _tape_product_without_second_cross_term(a, b, n):
+    """The same defect where an operand holds a tape register, so that only
+    tapes are wrong and the walker multiplies right."""
+    if type(a[0]) is expr._Reg or type(b[0]) is expr._Reg:
+        return _product_without_second_cross_term(a, b, n)
+    return _mul(a, b, n)
+
+
+def _recompiled(func, old, new):
+    """``func`` compiled again from its source, decorators included, with
+    ``old`` replaced by ``new``; a cached function gets a cache of its own."""
+    source = inspect.getsource(func)
+    assert source.count(old) == 1, old
+    namespace = dict(inspect.unwrap(func).__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+_gammabar_sign_flipped = _recompiled(connection.gamma_jets, "dg - dg.transpose(1, 2, 0)",
+                                     "dg + dg.transpose(1, 2, 0)")
+_frame_jets = manifold.frame_jets
+
+
+def _gram_inv_is_gram(chart, frame, point, order):
+    """Frame data that hands out the Gram as its own inverse."""
+    fj = _frame_jets(chart, frame, point, order)
+    return fj._replace(gram_inv=fj.gram)
+
+
+# gamma_jets with a cache of its own, which sees the mutant frame data
+_fresh_gamma_jets = functools.lru_cache(maxsize=None)(inspect.unwrap(connection.gamma_jets))
 _dual, _wedge_table = algebra.dual, algebra._wedge_table
 
 
@@ -113,6 +150,25 @@ MUTANTS = [
      [(expr._Reg, "__rtruediv__", _tape_reciprocal_inverted),
       (manifest, "_BUILTINS", {}), (suites, "_BUILT_CHARTS", {})],
      "all", ["mdd.gradient_frame_independence"]),
+    # fields are drawn fresh for each sample, so their tapes are built under
+    # the mutant
+    ("tape_product_without_second_cross_term",
+     [(expr, "_mul", _tape_product_without_second_cross_term)],
+     "expr", ["expr.program_matches_walk"]),
+    ("gammabar_sign_flipped",
+     [(module, "gamma_jets", _gammabar_sign_flipped) for module in (connection, mdd, tensor)],
+     "all", ["connection.sphere_closed_form", "connection.polar_closed_form",
+             "connection.metric_compatibility"]),
+    # every binding sees the mutant, gamma_jets through a cache of its own;
+    # tensor.contorsion_matches_operator then passes, since both of its sides
+    # raise the contorsion's index with the same gram_inv
+    ("gram_inv_is_gram",
+     [(module, "frame_jets", _gram_inv_is_gram)
+      for module in (manifold, connection, mdd, tensor, forms, suites)]
+     + [(module, "gamma_jets", _fresh_gamma_jets) for module in (connection, mdd, tensor)],
+     "all", ["frames.commutator_jacobi_constraint", "frames.coordinate_gradient_duality",
+             "mdd.metric_compatibility", "tensor.derivative_commutes_with_contraction",
+             "exterior.metric_independence"]),
     ("chi_dropped",
      [(connection, "gamma_jets", _chi_dropped), (mdd, "gamma_jets", _chi_dropped),
       (tensor, "gamma_jets", _chi_dropped)],
