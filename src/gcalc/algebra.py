@@ -97,14 +97,6 @@ def as_gram(g) -> Gram:
     return g if isinstance(g, Gram) else Gram(g)
 
 
-@lru_cache(maxsize=8)
-def _grades(n: int) -> np.ndarray:
-    """The grade of each blade mask 0..2^n - 1, read-only."""
-    k = np.array([m.bit_count() for m in range(1 << n)])
-    k.setflags(write=False)
-    return k
-
-
 class Multivector:
     """Immutable multivector over n anonymous frame vectors: ``row`` is a
     read-only float array of length 2^n, indexed by blade mask.
@@ -179,12 +171,12 @@ class Multivector:
         return {blades.key_of(m): c for m, c in self.coeffs.items()}
 
     def vector_components(self) -> np.ndarray:
-        if np.any(self.row[_grades(self.dim) != 1]):
+        if np.any(self.row[blades.grade_table(self.dim) != 1]):
             raise MixedGrade("not a pure vector")
         return self.row[1 << np.arange(self.dim)] + 0.0
 
     def grades(self):
-        return np.unique(_grades(self.dim)[self.row != 0.0]).tolist()
+        return np.unique(blades.grade_table(self.dim)[self.row != 0.0]).tolist()
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.row)))
@@ -284,13 +276,13 @@ def wedge(A: Multivector, B: Multivector) -> Multivector:
 
 def grade(A: Multivector, k: int) -> Multivector:
     """Grade-k part; grades outside 0..dim are empty."""
-    return _wrap(A.dim, np.where(_grades(A.dim) == k, A.row, 0.0))
+    return _wrap(A.dim, np.where(blades.grade_table(A.dim) == k, A.row, 0.0))
 
 
 @lru_cache(maxsize=8)
 def _contraction_mask(n: int) -> np.ndarray:
     """mask[a, b, c]: grade(c) = grade(b) - grade(a), so grade(a) <= grade(b)."""
-    k = _grades(n)
+    k = blades.grade_table(n)
     mask = k[None, None, :] == k[None, :, None] - k[:, None, None]
     mask.setflags(write=False)
     return mask
@@ -308,7 +300,7 @@ def dot(A: Multivector, B: Multivector, g) -> Multivector:
 
 def reverse(A: Multivector) -> Multivector:
     """Grade k scaled by (-1)^(k(k-1)/2)."""
-    return _wrap(A.dim, np.where(_grades(A.dim) & 2, -A.row, A.row))
+    return _wrap(A.dim, np.where(blades.grade_table(A.dim) & 2, -A.row, A.row))
 
 
 def pseudoscalar(g, orientation: int = 1) -> Multivector:

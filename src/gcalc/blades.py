@@ -124,6 +124,14 @@ def add_into(dst: dict, src: dict, scale=None) -> dict:
 
 
 @lru_cache(maxsize=8)
+def grade_table(n: int) -> np.ndarray:
+    """The grade of each blade mask 0..2^n - 1, read-only."""
+    k = np.array([m.bit_count() for m in range(1 << n)])
+    k.setflags(write=False)
+    return k
+
+
+@lru_cache(maxsize=8)
 def blade_tensors(n: int) -> tuple:
     """The interior and exterior products of frame vectors with blades, as
     signed gather tables (src, sign), built once per dimension on first use,
@@ -203,7 +211,7 @@ def outermorphism(M, x) -> Jet:
             for a in (M, x))
     n = len(M.value)
     src, sign = blade_tensors(n)[1]
-    grade = np.count_nonzero(sign, axis=0)    # wedge[k] reads e_a when k is in a
+    grade = grade_table(n)
     # the live blades and each one without its i lowest vectors
     need = {m & -(1 << i) for m in live_masks(x) for i in range(n + 1)}
     # scalars are fixed; the loop overwrites the rows of every grade up to
@@ -312,7 +320,7 @@ def product(g, A, B, combine: str = "gp") -> Jet:
     order of the jet operands; an array g is a constant.
     """
     A, B = (a if isinstance(a, Jet) else Jet(np.asarray(a, dtype=float)) for a in (A, B))
-    grades = np.array([m.bit_count() for m in range(len(B.value))])
+    grades = grade_table(len(B.value).bit_length() - 1)
     masks = live_masks(A)
     k = np.arange(grades[-1] + 1)[:, None]
     # B on a leading axis: its grade parts for the dot, else B whole

@@ -271,9 +271,8 @@ def _parse_potential(chart, text):
                               f"1..{chart.n}")
         if str(nu) in comps:
             raise DomainError(f"potential index {nu} is given twice")
-        sign = _MINKOWSKI_SIGNS[nu - 1]
-        body = body.strip()
-        comps[str(nu)] = body if sign > 0 else f"-({body})"
+        tree = chart.parse(body)
+        comps[str(nu)] = tree if _MINKOWSKI_SIGNS[nu - 1] > 0 else -tree
     if not comps:
         comps = {"1": "0"}
     return MultivectorField.parse(chart, comps)

@@ -51,8 +51,9 @@ class FrameMismatch(GcalcError):
 
 
 class JetBudgetExhausted(GcalcError):
-    """A derivative operator was applied to a field that cannot supply
-    derivatives of the required order (nesting depth limit is two)."""
+    """A jet of an order other than 0, 1 or 2 was requested.  Each derivative
+    operator asks its operand for one order more, so a stack of more than
+    two operators on a primitive field raises this when it is evaluated."""
 
 
 class GradeMismatch(GcalcError):

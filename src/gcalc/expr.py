@@ -11,7 +11,9 @@ Grammar (standard infix):
 so ``-x^2`` is ``-(x^2)`` and ``2^3^2`` is ``2^(3^2)``.  Identifiers are chart
 coordinates; call syntax is restricted to the function whitelist in
 :mod:`gcalc.jets`.  Expressions evaluate to plain floats or to jets carrying
-first and second derivatives.
+first and second derivatives; :func:`eval_jet`, :class:`Tape` and
+:class:`Program` refuse any other order with
+:class:`gcalc.errors.JetBudgetExhausted`.
 
 Evaluation is one walk, the sparse vector mode of forward differentiation
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008): a constant
@@ -47,7 +49,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .errors import DimMismatch, DomainError, ParseError, UnknownIdentifier
+from .errors import (DimMismatch, DomainError, JetBudgetExhausted, ParseError,
+                     UnknownIdentifier)
 import numpy as np
 
 from .jets import FUNCTIONS, Jet, function_coeffs
@@ -566,7 +569,11 @@ def eval_value(e: Expr, point) -> float:
 
 @lru_cache(maxsize=256)
 def _layout(shape: tuple, n: int, order: int) -> tuple:
-    """(start, stop, shape) of each Taylor coefficient in the buffer."""
+    """(start, stop, shape) of each Taylor coefficient in the buffer, for an
+    order of 0 to 2, the orders a jet carries."""
+    if not 0 <= order <= 2:
+        raise JetBudgetExhausted(
+            f"jets carry derivatives of order 0 to 2, requested {order}")
     cuts = [math.prod(shape) * sum(n ** k for k in range(d)) for d in range(order + 2)]
     return tuple((cuts[d], cuts[d + 1], shape + (n,) * d) for d in range(order + 1))
 

@@ -7,6 +7,9 @@ multivector exterior derivative, connected to it by the hat map, which
 re-expresses a multivector field in the gradient (dx) basis and reads the
 components off as form components.
 
+:func:`form_d` asks its operand for one order more, so a third one on a form
+of expressions raises :class:`gcalc.errors.JetBudgetExhausted` when evaluated.
+
 Component maps use the same ascending-index bitmask keys as multivectors.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from . import blades as bl
 from . import expr as ex
-from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
+from .errors import DimMismatch, FrameMismatch
 from .jets import value_of
 from .manifold import Chart, MultivectorField, frame_jets
 from .mdd import DerivedField, field_jets, from_blade_map, reexpress_field
@@ -40,10 +43,6 @@ class FormField:
                 raise DimMismatch(f"component {bl.key_of(mask)!r} exceeds "
                                   f"dimension {self.chart.n}")
 
-    @property
-    def budget(self) -> int:
-        return 2
-
     @staticmethod
     def parse(chart: Chart, degree: int, components: dict) -> "FormField":
         comps = {}
@@ -60,14 +59,10 @@ class DerivedForm:
 
     chart: Chart
     degree: int | None
-    budget: int
     fn: object
 
 
 def form_jets(form, point, order: int) -> dict:
-    if order > form.budget:
-        raise JetBudgetExhausted(
-            f"form supports jets to order {form.budget}, requested {order}")
     if isinstance(form, FormField):
         return {mask: ex.eval_jet(e, point, order)
                 for mask, e in form.components.items()}
@@ -81,8 +76,6 @@ def form_eval(form, point) -> dict:
 
 def form_d(form):
     """Exterior derivative: sum_i dx^i ^ (d component / d x^i), metric-free."""
-    if form.budget < 1:
-        raise JetBudgetExhausted("form has no derivative budget left")
     n = form.chart.n
 
     def fn(point, order):
@@ -101,7 +94,7 @@ def form_d(form):
         return out
 
     degree = None if form.degree is None else form.degree + 1
-    return DerivedForm(form.chart, degree, form.budget - 1, fn)
+    return DerivedForm(form.chart, degree, fn)
 
 
 def form_wedge(a, b):
@@ -115,7 +108,7 @@ def form_wedge(a, b):
         return bl.wedge_generic(ca, cb)
 
     degree = None if None in (a.degree, b.degree) else a.degree + b.degree
-    return DerivedForm(a.chart, degree, min(a.budget, b.budget), fn)
+    return DerivedForm(a.chart, degree, fn)
 
 
 def form_add(a, b, ca=1.0, cb=1.0):
@@ -129,8 +122,7 @@ def form_add(a, b, ca=1.0, cb=1.0):
         out = bl.add_into({}, form_jets(a, point, order), ca)
         return bl.add_into(out, form_jets(b, point, order), cb)
 
-    return DerivedForm(a.chart, a.degree if known else None,
-                       min(a.budget, b.budget), fn)
+    return DerivedForm(a.chart, a.degree if known else None, fn)
 
 
 def hat_map(chart: Chart, field):
@@ -156,7 +148,7 @@ def hat_map(chart: Chart, field):
         comps = bl.outermorphism(fj.g_coord, field_jets(field, point, order))
         return {m: comps.take(m) for m in bl.live_masks(comps)}
 
-    return DerivedForm(chart, degree, field.budget, fn)
+    return DerivedForm(chart, degree, fn)
 
 
 def unhat(chart: Chart, form) -> DerivedField:
@@ -168,4 +160,4 @@ def unhat(chart: Chart, form) -> DerivedField:
         comps = from_blade_map(form_jets(form, point, order), chart.n, order)
         return bl.outermorphism(fj.gram_inv, comps)
 
-    return DerivedField("coord", form.budget, fn)
+    return DerivedField("coord", fn)

@@ -164,13 +164,14 @@ def frame_jets(chart: Chart, frame: str, point: tuple, order: int) -> FrameJets:
     n = chart.n
     ex.check_point(point, n)
     identity = frame in chart.identity_frames
-    if identity:
-        F = Jet(np.eye(n), *(np.zeros((n,) * (2 + d)) for d in range(1, order + 1)))
-    else:
+    if not identity:
         chart.frame_rows(frame)     # refuses a frame the chart lacks
         F = chart.frame_programs[frame].jet(point, order)
     g_coord = gram = chart.metric_program.jet(point, order)
-    if not identity:
+    if identity:
+        # the constant I, shaped after the metric jet, which refuses an order past two
+        F = Jet(np.eye(n), *(np.zeros_like(c) for c in g_coord.coeffs[1:]))
+    else:
         if singular(F.value):
             raise SingularFrame(f"frame {frame!r} is degenerate at {point}")
         g_rows = contract("kl,jl->kj", g_coord, F)      # g F^T
@@ -280,10 +281,6 @@ class MultivectorField:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "program", ex.Program(
             lambda n: [comps.get(m) for m in range(1 << n)]))
-
-    @property
-    def budget(self) -> int:
-        return 2
 
     @staticmethod
     def parse(chart: Chart, components: dict, frame: str = "coord") -> "MultivectorField":

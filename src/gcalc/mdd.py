@@ -41,10 +41,12 @@ kernel :func:`gcalc.blades.product` over the jet of the frame Gram.
 
 The exterior derivative is the torsion-free curl and the codifferential the
 divergence; a separate dual-sandwich route for the codifferential exists for
-cross-checking.  Operators return fields, so they stack; a jet-depth budget
-(2 on primitive fields, one less per operator) bounds the stacking depth.
-An operator evaluates its operand once per point for all n directions, so a
-stack of k operators evaluates its primitive field k times.  A
+cross-checking.  Operators return fields, so they stack.  Each one asks its
+operand for one order more than it was asked for, and expression jets stop
+at order two, so two operators stack on a primitive field and a third raises
+:class:`gcalc.errors.JetBudgetExhausted` when it is evaluated.  An operator
+evaluates its operand once per point for all n directions, so a stack of k
+operators evaluates its primitive field k times.  A
 :class:`DerivedField` jet may carry leading label axes, shape (..., 2^n), and
 D of it has shape (..., n, 2^n): :func:`second_ops` reads its double sums'
 D_{e_i} D_{e_j} A as D of the stack D, one evaluation of D in all.
@@ -60,7 +62,7 @@ import numpy as np
 from . import blades as bl
 from .algebra import Multivector
 from .connection import ConnSpec, gamma_jets, levi_civita
-from .errors import DimMismatch, FrameMismatch, JetBudgetExhausted
+from .errors import DimMismatch, FrameMismatch
 from .jets import Jet, apply_function, contract, mat_det_inv, value_of
 from .manifold import Chart, MultivectorField, frame_jets
 
@@ -71,11 +73,10 @@ class DerivedField:
 
     ``fn(point, order)`` returns them as one jet of shape (..., 2^n) and the
     given order, indexed by blade mask (:func:`from_blade_map` builds one
-    from a blade map); ``budget`` is the remaining jet depth.
+    from a blade map).
     """
 
     frame: str
-    budget: int
     fn: object
 
 
@@ -95,9 +96,6 @@ def from_blade_map(comps: dict, n: int, order: int) -> Jet:
 
 def field_jets(field, point, order: int) -> Jet:
     """Blade components of a field at a point, as one (2^n,) jet."""
-    if order > field.budget:
-        raise JetBudgetExhausted(
-            f"field supports jets to order {field.budget}, requested {order}")
     if isinstance(field, MultivectorField):
         return field.program.jet(point, order)
     return field.fn(point, order)
@@ -122,8 +120,6 @@ def _check_operand(spec: ConnSpec, field) -> None:
         raise FrameMismatch(
             f"field is expressed in frame {field.frame!r} but the connection "
             f"uses {spec.frame!r}")
-    if field.budget < 1:
-        raise JetBudgetExhausted("field has no derivative budget left")
 
 
 @lru_cache(maxsize=8)
@@ -169,7 +165,7 @@ def _component_term(fj, A: Jet) -> Jet:
 
 
 def mdd_along_basis(spec, i: int, field) -> DerivedField:
-    """D_{e_i} field as a new field (budget drops by one)."""
+    """D_{e_i} field as a new field."""
     _check_operand(spec, field)
     if not 0 <= i < spec.n:
         raise FrameMismatch(f"basis direction {i} out of range for n={spec.n}")
@@ -177,7 +173,7 @@ def mdd_along_basis(spec, i: int, field) -> DerivedField:
     def fn(point, order):
         return _mdd_basis_jets(spec, field, point, order).take(i)
 
-    return DerivedField(spec.frame, field.budget - 1, fn)
+    return DerivedField(spec.frame, fn)
 
 
 def mdd(spec, a, field, point) -> Multivector:
@@ -212,7 +208,7 @@ def _contract_field(spec, field, combine: str) -> DerivedField:
         ginv = None if combine == "dot" else gamma_jets(spec, point, order).frame.gram_inv
         return _reciprocal_sum(ginv, _mdd_basis_jets(spec, field, point, order), combine)
 
-    return DerivedField(spec.frame, field.budget - 1, fn)
+    return DerivedField(spec.frame, fn)
 
 
 def gradient_field(spec: ConnSpec, field) -> DerivedField:
@@ -263,7 +259,7 @@ def unit_pseudoscalar_field(chart: Chart, frame: str) -> DerivedField:
         norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
         return from_blade_map({top: float(chart.orientation) / norm}, n, order)
 
-    return DerivedField(frame, 2, fn)
+    return DerivedField(frame, fn)
 
 
 def _pseudoscalar_square_sign(n: int, det_gram) -> float:
@@ -272,7 +268,7 @@ def _pseudoscalar_square_sign(n: int, det_gram) -> float:
 
 
 def dual_field(chart: Chart, frame: str, field) -> DerivedField:
-    """A I^{-1} with the chart's unit pseudoscalar; costs no jet budget.
+    """A I^{-1} with the chart's unit pseudoscalar, at the order asked of it.
 
     With I^{-1} = (orientation s / sqrt|det g|) e_top and s = I^2, the dual
     lowers A onto the reciprocal blades, E_K = f_g(E^K) with f_g the
@@ -294,7 +290,7 @@ def dual_field(chart: Chart, frame: str, field) -> DerivedField:
         return contract(",a->a", (float(chart.orientation) * s) / norm,
                         bl.apply_blades(complement, lowered))
 
-    return DerivedField(frame, field.budget, fn)
+    return DerivedField(frame, fn)
 
 
 def codifferential_via_dual(spec, field, point) -> Multivector:
@@ -327,7 +323,7 @@ def second_ops(spec, field, point, a=None) -> dict:
     g1 = gradient_field(spec, field)
     out = {"grad_grad": eval_field(gradient_field(spec, g1), point)}
     # D of the stack D, whose label axis is j, holds D_{e_i} D_{e_j} A at [j, i]
-    D = DerivedField(spec.frame, g1.budget, lambda p, o: _mdd_basis_jets(spec, field, p, o))
+    D = DerivedField(spec.frame, lambda p, o: _mdd_basis_jets(spec, field, p, o))
     dd = _mdd_basis_jets(spec, D, point, 0).transpose(1, 0)
     ginv = gamma_jets(spec, point, 0).frame.gram_inv
     out["dot_dot"] = Multivector(n, np.einsum("ij,ija->a", ginv.value, dd.value))
@@ -339,14 +335,14 @@ def second_ops(spec, field, point, a=None) -> dict:
 
 
 def add_fields(a, b) -> DerivedField:
-    """Pointwise sum; budget is the smaller of the two."""
+    """Pointwise sum."""
     if a.frame != b.frame:
         raise FrameMismatch("cannot add fields over different frames")
 
     def fn(point, order):
         return field_jets(a, point, order) + field_jets(b, point, order)
 
-    return DerivedField(a.frame, min(a.budget, b.budget), fn)
+    return DerivedField(a.frame, fn)
 
 
 def product_field(chart: Chart, frame: str, a, b, combine: str = "gp") -> DerivedField:
@@ -359,7 +355,7 @@ def product_field(chart: Chart, frame: str, a, b, combine: str = "gp") -> Derive
                           field_jets(a, point, order), field_jets(b, point, order),
                           combine)
 
-    return DerivedField(frame, min(a.budget, b.budget), fn)
+    return DerivedField(frame, fn)
 
 
 def grade_field(field, k: int) -> DerivedField:
@@ -367,9 +363,9 @@ def grade_field(field, k: int) -> DerivedField:
 
     def fn(point, order):
         A = field_jets(field, point, order)
-        return bl.scale(A, [m.bit_count() == k for m in range(len(A.value))])
+        return bl.scale(A, bl.grade_table(A.value.shape[-1].bit_length() - 1) == k)
 
-    return DerivedField(field.frame, field.budget, fn)
+    return DerivedField(field.frame, fn)
 
 
 def frame_change(chart: Chart, src_frame: str, dst_frame: str, point, order: int) -> Jet:
@@ -393,5 +389,5 @@ def reexpress_field(chart: Chart, src_frame: str, dst_frame: str, field) -> Deri
         M = frame_change(chart, src_frame, dst_frame, point, order)
         return bl.outermorphism(M, field_jets(field, point, order))
 
-    return DerivedField(dst_frame, field.budget, fn)
+    return DerivedField(dst_frame, fn)
 

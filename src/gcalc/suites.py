@@ -280,12 +280,15 @@ def _chk_program_matches_walk(rng, samples):
     """A fresh vector field's program walks its first two points and builds
     and runs a tape at the third, where every entry must equal the walk's,
     bit for bit.  The first two are the walk itself, so only the third is
-    compared."""
+    compared.  The scalar part, a number minus a product of coordinates,
+    records a subtraction whose left operand is a number."""
     dev = 0.0
     for _ in range(samples):
         name = ("sphere2", "polar2", "curved3")[int(rng.integers(0, 3))]
         chart = _curved3() if name == "curved3" else _chart(name)
         field = _rand_field(rng, chart, grades={1})
+        field = MultivectorField(field.frame, {**field.components,
+                                               0: 0.5 - ex.Coord(0) * ex.Coord(1)})
         for _ in range(3):
             point = sample_point(chart, rng)
             got = field.program.jet(point, 2)
@@ -1089,7 +1092,7 @@ def _chk_tensor_contraction_commutes(rng, samples):
                     tot = term if tot is None else tot + term
             return md.from_blade_map({0: tot}, n, order)
 
-        rhs = md.mdd(spec, a, DerivedField("coord", 2, tbar_fn), point)[0]
+        rhs = md.mdd(spec, a, DerivedField("coord", tbar_fn), point)[0]
         dev = max(dev, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return dev, samples, None
 

@@ -106,7 +106,6 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
     for f in arg_fields:
         if f.frame != T.frame:
             raise FrameMismatch("argument fields must share the tensor's frame")
-    budget = min([2] + [f.budget for f in arg_fields])
 
     def fn(point, order):
         args = [field_jets(f, point, order) for f in arg_fields]
@@ -133,7 +132,7 @@ def tensor_output_field(T: TensorField, arg_fields) -> DerivedField:
         fj = frame_jets(T.chart, T.frame, point, order)
         return bl.outermorphism(fj.gram_inv, Jet(*out))
 
-    return DerivedField(T.frame, budget, fn)
+    return DerivedField(T.frame, fn)
 
 
 def tensor_add(T: TensorField, S: TensorField) -> TensorField:

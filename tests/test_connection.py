@@ -264,7 +264,7 @@ class TestDerivedCoefficients:
                 return from_blade_map({1 << l: fj.gram_inv.take((j, l))
                                        for l in range(n)}, n, order)
 
-            recip_field = DerivedField(frame, 2, recip_fn)
+            recip_field = DerivedField(frame, recip_fn)
             for i in range(n):
                 a = [1.0 if k == i else 0.0 for k in range(n)]
                 got = mdd(spec, a, recip_field, point).to_blade_map()

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcalc import expr
-from gcalc.errors import DomainError, GcalcError, ParseError, UnknownIdentifier
+from gcalc.errors import (DomainError, GcalcError, JetBudgetExhausted, ParseError,
+                          UnknownIdentifier)
 from gcalc.expr import (Add, Call, Coord, Div, Mul, Neg, Num, Pow, Sub, Tape,
                         eval_jet, eval_value, parse, to_text)
 from gcalc.jets import FUNCTIONS, Jet, apply_function, function_coeffs
@@ -595,6 +596,22 @@ class TestCoordinateIndex:
         for _ in range(4):      # two walks, the build that fails, a walk
             with pytest.raises(IndexError):
                 program.jet(point, order)
+
+
+@pytest.mark.parametrize("order", [3, -1])
+def test_order_outside_zero_to_two_is_refused(order):
+    """Jets carry derivatives to order two; the walk, a tape and a program
+    refuse any other order with the same error."""
+    trees = [Coord(0) * Coord(1), Num(2.0)]
+    point = (0.5, -0.25)
+    with pytest.raises(JetBudgetExhausted):
+        eval_jet(trees, point, order)
+    with pytest.raises(JetBudgetExhausted):
+        Tape(trees, 2, order)
+    program = expr.Program(lambda n: trees)
+    for _ in range(4):      # two walks, the build that fails, a walk
+        with pytest.raises(JetBudgetExhausted):
+            program.jet(point, order)
 
 
 def test_readme_names_every_function():

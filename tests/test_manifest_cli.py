@@ -146,6 +146,7 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
     ["eval", _REPEATED_BLADE_DOC, "--op", "curl", "--field", "f",
      "--point", "x=1,y=0.5"],
     ["maxwell", "--potential", "3:x,3:y", "--point", "t=0,x=0.1,y=0.2,z=0.3"],
+    ["maxwell", "--potential", "3:x)+(y", "--point", "t=0,x=0.1,y=0.2,z=0.3"],
     ["eval", "euclid3", "--op", "mdd", "--dir", "1=1e308,2=1e308",
      "--field", "A: 1 = x*1e308", "--point", "x=1,y=0,z=0"],
 ], ids=["blade-out-of-range", "exp-overflow", "literal-overflow",
@@ -157,7 +158,7 @@ _WIDE_DOC = json.dumps({"name": "wide", "coordinates": [f"x{i}" for i in range(1
         "dir-with-grad", "dir-with-div", *_MALFORMED, "operator-dim-limit",
         "coord-not-identity", "dir-repeated", "inline-key-repeated",
         "inline-blade-repeated", "manifest-blade-repeated", "potential-repeated",
-        "mdd-overflow"])
+        "potential-unbalanced", "mdd-overflow"])
 def test_bad_input_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

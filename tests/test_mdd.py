@@ -291,7 +291,7 @@ def _gram_route(spec, field, combine):
             out = part if out is None else out + part
         return out
 
-    return DerivedField(spec.frame, field.budget - 1, fn)
+    return DerivedField(spec.frame, fn)
 
 
 class TestMetricFreeContraction:
@@ -641,13 +641,17 @@ class TestSecondDerivatives:
 
 
 class TestBudget:
+    """Jets stop at order two and each operator asks its operand for one
+    order more, so a third operator builds but fails when it is evaluated."""
+
     def test_two_derivatives_fit_three_do_not(self):
         spec = levi_civita(SPHERE, "coord")
         phi = MultivectorField.scalar(SPHERE, "theta^3 * phi")
         twice = gradient_field(spec, gradient_field(spec, phi))
         eval_field(twice, (0.9, 0.4))  # fine
+        thrice = gradient_field(spec, twice)
         with pytest.raises(JetBudgetExhausted):
-            gradient_field(spec, twice)
+            eval_field(thrice, (0.9, 0.4))
 
     def test_algebraic_wrappers_cost_nothing(self):
         spec = levi_civita(SPHERE, "coord")
@@ -657,12 +661,17 @@ class TestBudget:
         again = gradient_field(spec, wrapped)  # still order 2 total
         eval_field(again, (1.0, 0.5))
 
-    def test_sums_keep_the_smaller_budget(self):
+    def test_sums_keep_the_deeper_operand(self):
+        """A sum asks both operands for the same order, so the gradient of a
+        sum on top of a once-derived field is as deep as a second gradient,
+        and one more operator fails on the derived operand."""
         spec = levi_civita(SPHERE, "coord")
         phi = MultivectorField.scalar(SPHERE, "theta")
         once = gradient_field(spec, phi)
         s = add_fields(once, MultivectorField.scalar(SPHERE, "phi"))
-        assert s.budget == once.budget
+        eval_field(gradient_field(spec, s), (0.9, 0.4))  # fine
+        with pytest.raises(JetBudgetExhausted):
+            eval_field(gradient_field(spec, gradient_field(spec, s)), (0.9, 0.4))
 
 
 def test_distinct_contorsions_are_distinguishable():

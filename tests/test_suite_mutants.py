@@ -108,6 +108,12 @@ def _tape_reciprocal_inverted(self, o):
     return self.tape.emit(operator.truediv, self, o)
 
 
+def _tape_rsub_swapped(self, o):
+    """A tape that records number - register as register - number; the
+    walker still subtracts right."""
+    return self.tape.emit(operator.sub, self, o)
+
+
 def _statuses(suite):
     report = suites.run_checks(suite, samples=4)
     return {row["name"]: row["status"] for row in report["checks"]}
@@ -154,6 +160,9 @@ MUTANTS = [
     # the mutant
     ("tape_product_without_second_cross_term",
      [(expr, "_mul", _tape_product_without_second_cross_term)],
+     "expr", ["expr.program_matches_walk"]),
+    ("tape_rsub_swapped",
+     [(expr._Reg, "__rsub__", _tape_rsub_swapped)],
      "expr", ["expr.program_matches_walk"]),
     ("gammabar_sign_flipped",
      [(module, "gamma_jets", _gammabar_sign_flipped) for module in (connection, mdd, tensor)],

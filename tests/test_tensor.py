@@ -338,7 +338,7 @@ class TestDerivative:
                     tot = term if tot is None else tot + term
             return from_blade_map({0: tot}, 2, order)
 
-        rhs = mdd(spec, a, DerivedField("coord", 2, tbar_fn), point)[0]
+        rhs = mdd(spec, a, DerivedField("coord", tbar_fn), point)[0]
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_chain_value_is_extension_independent(self):
