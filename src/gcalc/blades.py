@@ -2,9 +2,10 @@
 
 A basis blade over n frame vectors is a bitmask: bit i set means frame vector
 i+1 participates, indices ascending.  A multivector is a blade axis, the last
-axis (length 2^n, indexed by mask) of an array jet or array, or at the forms
-and serialization boundaries a blade map, a dict from masks to coefficients,
-which :func:`wedge_generic` wedges without a metric.
+axis (length 2^n, indexed by mask) of an array jet or array.  Blade maps,
+dicts from masks to coefficients, appear only at serialization and in the
+product oracles: :func:`wedge_generic` wedges two of them without a metric,
+for the wedge of differential forms.
 
 The geometric product for an arbitrary (symmetric, possibly indefinite) Gram
 matrix is defined here, once, on the blade axis, by grade recursion on the

@@ -25,7 +25,7 @@ import numpy as np
 from . import expr as ex
 from . import mdd as md
 from .connection import conn_spec, connection_at, levi_civita
-from .errors import DomainError, GcalcError
+from .errors import DomainError, GcalcError, ParseError
 from .manifest import builtin, builtin_names, load_manifest
 from .manifold import MultivectorField, sample_point
 from .suites import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL, run_checks,
@@ -247,10 +247,13 @@ def cmd_check(args):
 
 
 def _parse_potential(chart, text):
-    """Covariant 1-form entries ``index:expr,...`` on the Minkowski chart."""
+    """Covariant 1-form entries ``index:expr,...`` on the Minkowski chart.
+    An expression that does not parse is reported at its offset in ``text``."""
     comps = {}
-    for entry in text.split(","):
-        entry = entry.strip()
+    start = 0
+    for raw in text.split(","):
+        at, start = start, start + len(raw) + 1
+        entry = raw.strip()
         if not entry:
             continue
         key, sep, body = entry.partition(":")
@@ -271,7 +274,10 @@ def _parse_potential(chart, text):
                               f"1..{chart.n}")
         if str(nu) in comps:
             raise DomainError(f"potential index {nu} is given twice")
-        tree = chart.parse(body)
+        try:
+            tree = chart.parse(body)
+        except ParseError as exc:
+            raise ParseError(exc.message, at + raw.index(":") + 1 + exc.position) from None
         comps[str(nu)] = tree if _MINKOWSKI_SIGNS[nu - 1] > 0 else -tree
     if not comps:
         comps = {"1": "0"}

@@ -250,10 +250,6 @@ def apply_function(name: str, u: Jet) -> Jet:
     return _compose(u, *function_coeffs(name, u.value, u.order))
 
 
-def value_of(x) -> float:
-    return x.value if isinstance(x, Jet) else float(x)
-
-
 # -- array jets -------------------------------------------------------------
 
 def contract(spec: str, a: Jet, b: Jet) -> Jet:

@@ -63,7 +63,7 @@ from . import blades as bl
 from .algebra import Multivector
 from .connection import ConnSpec, gamma_jets, levi_civita
 from .errors import DimMismatch, FrameMismatch
-from .jets import Jet, apply_function, contract, mat_det_inv, value_of
+from .jets import Jet, apply_function, contract, mat_det_inv
 from .manifold import Chart, MultivectorField, frame_jets
 
 
@@ -249,6 +249,11 @@ def codifferential(spec: ConnSpec, field, point) -> Multivector:
     return divergence(spec, field, point)
 
 
+def _volume(fj) -> Jet:
+    """sqrt(|det Gram|), the volume of the frame, as a scalar jet."""
+    return apply_function("sqrt", apply_function("abs", fj.det_gram))
+
+
 def unit_pseudoscalar_field(chart: Chart, frame: str) -> DerivedField:
     """I(x) = orientation * (e_1 ^ ... ^ e_n) / sqrt(|det Gram|)."""
     n = chart.n
@@ -256,15 +261,14 @@ def unit_pseudoscalar_field(chart: Chart, frame: str) -> DerivedField:
 
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
-        norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
-        return from_blade_map({top: float(chart.orientation) / norm}, n, order)
+        return from_blade_map({top: float(chart.orientation) / _volume(fj)}, n, order)
 
     return DerivedField(frame, fn)
 
 
-def _pseudoscalar_square_sign(n: int, det_gram) -> float:
+def _pseudoscalar_square_sign(n: int, det_gram: Jet) -> float:
     s = -1.0 if (n * (n - 1) // 2) & 1 else 1.0
-    return s * (1.0 if value_of(det_gram) > 0 else -1.0)
+    return s * (1.0 if det_gram.value > 0 else -1.0)
 
 
 def dual_field(chart: Chart, frame: str, field) -> DerivedField:
@@ -285,9 +289,8 @@ def dual_field(chart: Chart, frame: str, field) -> DerivedField:
     def fn(point, order):
         fj = frame_jets(chart, frame, point, order)
         lowered = bl.outermorphism(fj.gram, field_jets(field, point, order))
-        norm = apply_function("sqrt", apply_function("abs", fj.det_gram))
         s = _pseudoscalar_square_sign(n, fj.det_gram)
-        return contract(",a->a", (float(chart.orientation) * s) / norm,
+        return contract(",a->a", (float(chart.orientation) * s) / _volume(fj),
                         bl.apply_blades(complement, lowered))
 
     return DerivedField(frame, fn)

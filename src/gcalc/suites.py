@@ -875,6 +875,26 @@ def _chk_mdd_gradient_frames(rng, samples):
     return dev, samples, None
 
 
+_DUAL_SETUPS = (("sphere2", "ortho"), ("polar2", "skew"), ("minkowski4", "coord"))
+
+
+def _chk_mdd_dual_inverse(rng, samples):
+    """dual(A) I = A I^{-1} I = A on fields: the dual applied once, so a
+    wrong sign or scale of I^{-1} fails here, while the dual-sandwich
+    codifferential applies it twice and cancels the sign."""
+    dev = 0.0
+    for s in range(samples):
+        name, frame = _DUAL_SETUPS[s % 3]
+        chart = _chart(name)
+        point = sample_point(chart, rng)
+        # the identity holds pointwise, so constant components suffice
+        A = MultivectorField(frame, {m: ex.Num(_rc(rng)) for m in range(1 << chart.n)})
+        back = md.product_field(chart, frame, md.dual_field(chart, frame, A),
+                                md.unit_pseudoscalar_field(chart, frame), "gp")
+        dev = max(dev, _rel_mv(eval_field(back, point), eval_field(A, point)))
+    return dev, samples, None
+
+
 # ---------------------------------------------------------------------------
 # exterior checks
 
@@ -1355,6 +1375,7 @@ CHECKS = (
     ("maxwell.potential_field_source", "maxwell", 1e-10, _chk_maxwell),
     ("algebra.dual_inverse", "algebra", 1e-10, _chk_alg_dual_inverse),
     ("expr.program_matches_walk", "expr", 0.0, _chk_program_matches_walk),
+    ("mdd.dual_inverse", "mdd", 1e-10, _chk_mdd_dual_inverse),
 )
 
 SUITE_NAMES = ("expr", "algebra", "frames", "connection", "mdd", "exterior",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gcalc import blades as bl
-from gcalc.errors import DimMismatch, FrameMismatch, JetBudgetExhausted
+from gcalc.errors import BladeKeyError, DimMismatch, FrameMismatch, JetBudgetExhausted
 from gcalc.forms import (FormField, form_add, form_d, form_eval, form_wedge,
                          hat_map, unhat)
 from gcalc.manifest import builtin, builtin_names
@@ -80,13 +80,24 @@ class TestValidation:
         with pytest.raises(DimMismatch):
             form_add(a, b)
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(BladeKeyError):
+            FormField.parse(POLAR, 1, {"1": "r", " 1": "theta"})
+
+    def test_operators_refuse_a_forms_field(self):
+        w = FormField.parse(POLAR, 1, {"1": "r"})
+        with pytest.raises(FrameMismatch):
+            ext_d_field(POLAR, "coord", w.field)
+
     def test_budget_runs_out_at_third_derivative(self):
-        w = FormField.parse(POLAR, 0, {"": "r^3 * theta"})
-        ddw = form_d(form_d(w))
-        form_eval(ddw, (1.0, 0.5))  # two derivatives fit
-        dddw = form_d(ddw)          # builds; the order limit is met when evaluated
-        with pytest.raises(JetBudgetExhausted):
-            form_eval(dddw, (1.0, 0.5))
+        # an empty form has no expression, yet its field grid refuses order 3 too
+        for w in (FormField.parse(POLAR, 0, {"": "r^3 * theta"}),
+                  FormField.parse(POLAR, 0, {})):
+            ddw = form_d(form_d(w))
+            form_eval(ddw, (1.0, 0.5))  # two derivatives fit
+            dddw = form_d(ddw)          # builds; the order limit is met when evaluated
+            with pytest.raises(JetBudgetExhausted):
+                form_eval(dddw, (1.0, 0.5))
 
 
 class TestHatMap:

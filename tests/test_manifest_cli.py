@@ -530,6 +530,13 @@ class TestMaxwell:
         proc = run_cli("maxwell", "--potential", "7:x")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text", ["3:x)+(y", "3:x, 2:y)", " 3 : x + (y))"])
+    def test_parse_error_position_counts_in_the_potential(self, text, capsys):
+        assert main(["maxwell", "--potential", text,
+                     "--point", "t=0,x=0.1,y=0.2,z=0.3"]) == 2
+        err = capsys.readouterr().err
+        assert f"(at position {text.rindex(')')})" in err, err
+
 
 class TestParse:
     def test_ast_and_canonical_text(self):

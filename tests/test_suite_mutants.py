@@ -114,6 +114,15 @@ def _tape_rsub_swapped(self, o):
     return self.tape.emit(operator.sub, self, o)
 
 
+_square_sign = mdd._pseudoscalar_square_sign
+
+
+def _dual_square_sign_flipped(n, det_gram):
+    """The sign of I^2 negated, so that the dual divides by -I; the
+    dual-sandwich codifferential applies it twice and cancels it."""
+    return -_square_sign(n, det_gram)
+
+
 def _statuses(suite):
     report = suites.run_checks(suite, samples=4)
     return {row["name"]: row["status"] for row in report["checks"]}
@@ -182,6 +191,9 @@ MUTANTS = [
      [(connection, "gamma_jets", _chi_dropped), (mdd, "gamma_jets", _chi_dropped),
       (tensor, "gamma_jets", _chi_dropped)],
      "all", ["tensor.contorsion_matches_operator"]),
+    ("dual_square_sign_flipped",
+     [(mdd, "_pseudoscalar_square_sign", _dual_square_sign_flipped)],
+     "mdd", ["mdd.dual_inverse"]),
 ]
 
 
